@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,27 @@ def emit(data: dict, fmt: str) -> None:
     else:
         for k, v in data.items():
             print(f"{k}: {_round_floats(v)}")
+
+
+def _int_in_range(low: int, high: float = math.inf):
+    """argparse type: an integer in [low, high], so that a bad value is a
+    usage error (exit 2) rather than a contract violation."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if not low <= value <= high:
+            allowed = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {allowed}, got {value}")
+        return value
+    return parse
+
+
+def _add_run_args(p: argparse.ArgumentParser, **shots_kwargs) -> None:
+    p.add_argument("--shots", type=_int_in_range(1), **shots_kwargs)
+    p.add_argument("--seed", type=_int_in_range(0), default=0)
+    p.add_argument("--shards", type=_int_in_range(1, simulate.MAX_SHARDS), default=1)
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -199,15 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_game_exact)
     p = game_sub.add_parser("simulate", help="Monte Carlo protocol run")
     p.add_argument("--protocol", choices=("classical", "quantum"), required=True)
-    p.add_argument("--shots", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
+    _add_run_args(p, default=1_000_000)
     _add_format(p)
     p.set_defaults(func=cmd_game_simulate)
     p = game_sub.add_parser("gap", help="quantum simulation vs exact classical optimum")
-    p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
+    _add_run_args(p, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_game_gap)
 
@@ -220,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "shards", 1) > getattr(args, "shots", 1):
+        parser.error("--shards must not exceed --shots")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,22 +1,25 @@
 """Monte Carlo execution of the three-party broadcast protocol.
 
-Each shot samples inputs (y, x), plays one round (classical: precomputed
-optimal sign functions; quantum: Born-rule outcomes on the shared state)
-and checks the product-of-broadcasts guess against the target.
+A shot draws a setting tuple x from Q and sign bits y uniformly, yields
+outcomes a (classical: the optimal sign functions; quantum: Born-rule
+outcomes on the shared state), and each party broadcasts y_i * a_i.  The
+guess y1*y2*y3 * a1*a2*a3 equals the target y1*y2*y3 * sign g(x) exactly
+when a1*a2*a3 = sign g(x): the sign bits cancel and never affect success.
+A run reports only counts, so the shots of a shard are drawn at once as
+Multinomial(n, pi) over the (setting tuple, outcome) cells, with
+pi(x, a) = Q(x) P(a|x); this is the exact law of the per-shot counts.
 
 Randomness comes from numpy's Philox counter-based generator.  Shard k of
 a run is seeded with SeedSequence([seed, k]), so shards are independent
 substreams and the report is a pure function of
-(seed, shards, shots, protocol) regardless of how shards are scheduled.
+(seed, shards, shots, protocol).
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -24,8 +27,9 @@ import numpy as np
 from . import bell, ccp, state
 from .bell import N_PARTIES, FullCorrelationInequality
 
-CHUNK = 2_000_000
 NEGATIVITY_TOL = 1e-12
+# one SeedSequence and generator per shard; the cap keeps a run's set-up bounded
+MAX_SHARDS = 1024
 
 # outcome triple (a1,a2,a3) encoded as a 3-bit index, bit=1 meaning a=-1,
 # party 1 most significant (same convention as the state's basis index)
@@ -44,6 +48,8 @@ class SimulationConfig:
             raise ValueError("shots must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        if self.shards > min(self.shots, MAX_SHARDS):
+            raise ValueError(f"shards must not exceed shots or {MAX_SHARDS}")
         if self.protocol not in ("classical", "quantum"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
@@ -128,11 +134,13 @@ def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
 
 
 class GameTables:
-    """Everything precomputed once so that per-shot work is table lookups.
+    """Everything a run needs, computed once.
 
-    Holds the q-supported setting tuples, their cumulative input
-    distribution, the target signs, the per-tuple Born outcome CDFs and
-    the optimal classical sign functions.
+    Holds the q-supported setting tuples with their input probabilities
+    Q(x), the target signs, and per protocol an outcome table P(a|x) over
+    (support, 3-bit outcome): Born-rule pmfs for "quantum", a one-hot row
+    at the optimal strategy's answer for "classical".  ``win[x, a]`` marks
+    the cells where the guess equals the target.
     """
 
     def __init__(self, rho=None, obs=None, ineq: FullCorrelationInequality = None):
@@ -143,20 +151,25 @@ class GameTables:
         g = self.ineq.g
         q = ccp.input_distribution(g)
         self.support = [tuple(int(i) for i in idx) for idx in np.argwhere(g != 0)]
+        for x in self.support:
+            for party, setting in enumerate(x):
+                if setting >= len(self.obs[party]):
+                    raise ValueError(
+                        f"inequality uses setting tuple {x}, but party {party + 1} "
+                        f"has no observable for setting {setting}")
         self.q_support = np.array([q[x] for x in self.support])
-        self.q_cdf = np.cumsum(self.q_support)
         self.target_sign = np.array([1 if g[x] > 0 else -1 for x in self.support])
-
-        self.outcome_cdf = np.array([
-            np.cumsum(born_distribution(self.rho, self.obs, x)) for x in self.support
-        ])
+        self.win = OUTCOME_PRODUCT == self.target_sign[:, None]
 
         strategy, self.p_classical_exact = ccp.optimal_classical_strategy(g)
-        self.strategy = strategy
-        self.classical_answer_sign = np.array([
-            strategy.a[0][x[0]] * strategy.a[1][x[1]] * strategy.a[2][x[2]]
-            for x in self.support
-        ])
+        # outcome index of the strategy's answers: bit set where a_i = -1
+        answer = [sum(int(strategy.a[p][s] < 0) << (N_PARTIES - 1 - p)
+                      for p, s in enumerate(x)) for x in self.support]
+        self.outcome_pmf = {
+            "quantum": np.array([born_distribution(self.rho, self.obs, x)
+                                 for x in self.support]),
+            "classical": np.eye(len(OUTCOME_PRODUCT))[answer],
+        }
 
         s_value = bell.quantum_value(self.ineq, self.rho, self.obs)
         self.quantum_value = s_value
@@ -177,76 +190,31 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, shard])))
 
 
-def sample_inputs(rng: np.random.Generator,
-                  tables: GameTables | None = None) -> ccp.GameInstance:
-    """Draw one game instance: x by inverse CDF over Q, y uniform bits."""
+def sample_counts(config: SimulationConfig,
+                  tables: GameTables | None = None) -> np.ndarray:
+    """Shot counts per (support tuple, outcome) cell, shape (len(support), 8).
+
+    Shots are split across shards as evenly as possible (the first
+    shots % shards shards get one extra); shard k draws
+    Multinomial(n_k, pi) from its own stream with
+    pi(x, a) = Q(x) P(a|x), and shard counts add, so the result does not
+    depend on execution order.
+    """
     tables = tables or default_tables()
-    k = int(np.searchsorted(tables.q_cdf, rng.random(), side="right"))
-    k = min(k, len(tables.support) - 1)
-    y = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, size=N_PARTIES))
-    return ccp.GameInstance(y, tables.support[k])
-
-
-def _shard_successes(rng: np.random.Generator, shots: int, protocol: str,
-                     tables: GameTables) -> int:
-    successes = 0
-    remaining = shots
-    while remaining > 0:
-        n = min(CHUNK, remaining)
-        remaining -= n
-
-        k = np.searchsorted(tables.q_cdf, rng.random(n), side="right")
-        np.clip(k, 0, len(tables.support) - 1, out=k)
-        ybits = rng.integers(0, 8, size=n)
-        yprod = OUTCOME_PRODUCT[ybits]
-
-        if protocol == "classical":
-            aprod = tables.classical_answer_sign[k]
-        else:
-            u = rng.random(n)
-            outcome = np.empty(n, dtype=np.int64)
-            for idx in range(len(tables.support)):
-                mask = k == idx
-                if mask.any():
-                    outcome[mask] = np.searchsorted(
-                        tables.outcome_cdf[idx], u[mask], side="right")
-            np.clip(outcome, 0, 7, out=outcome)
-            aprod = OUTCOME_PRODUCT[outcome]
-
-        guess = yprod * aprod
-        target = yprod * tables.target_sign[k]
-        successes += int(np.count_nonzero(guess == target))
-    return successes
+    pmf = tables.outcome_pmf[config.protocol]
+    pi = (tables.q_support[:, None] * pmf).ravel()
+    base, extra = divmod(config.shots, config.shards)
+    counts = sum(_shard_rng(config.seed, k).multinomial(base + (k < extra), pi)
+                 for k in range(config.shards))
+    return counts.reshape(pmf.shape)
 
 
 def run_protocol(config: SimulationConfig,
                  tables: GameTables | None = None) -> SimulationReport:
-    """Run the full protocol and aggregate an exact integer success count.
-
-    Shots are split across shards as evenly as possible (first
-    shots % shards shards get one extra); shard results combine by
-    addition, so the report does not depend on execution order.
-    """
+    """Run the full protocol and report its exact integer success count."""
     tables = tables or default_tables()
     t0 = time.perf_counter()
-    base, extra = divmod(config.shots, config.shards)
-    jobs = [(shard, base + (1 if shard < extra else 0))
-            for shard in range(config.shards)]
-    jobs = [(shard, n) for shard, n in jobs if n > 0]
-
-    def run_shard(job):
-        shard, n = job
-        return _shard_successes(_shard_rng(config.seed, shard), n,
-                                config.protocol, tables)
-
-    if len(jobs) == 1:
-        successes = run_shard(jobs[0])
-    else:
-        # numpy kernels release the GIL, so threads give real parallelism;
-        # summing integers is order-independent, keeping the report exact
-        workers = min(len(jobs), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(run_shard, jobs))
+    successes = int(sample_counts(config, tables)[tables.win].sum())
     p_hat = successes / config.shots
     return SimulationReport(
         protocol=config.protocol,

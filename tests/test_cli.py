@@ -119,3 +119,19 @@ class TestOutputContract:
         with pytest.raises(SystemExit) as exc:
             main(["game", "exact", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("game", "simulate", "--protocol", "quantum", "--shots", "0"),
+        ("game", "simulate", "--protocol", "quantum", "--shots", "many"),
+        ("game", "simulate", "--protocol", "quantum", "--seed", "-1"),
+        ("game", "simulate", "--protocol", "quantum", "--shards", "0"),
+        ("game", "simulate", "--protocol", "quantum", "--shards", "1025"),
+        ("game", "simulate", "--protocol", "classical", "--shots", "10", "--shards", "11"),
+        ("game", "gap", "--shots", "-5"),
+        ("game", "gap", "--shots", "1000", "--seed", "-1"),
+        ("game", "gap", "--shots", "1000", "--shards", "0"),
+    ])
+    def test_bad_run_arguments_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2

@@ -12,7 +12,7 @@ from becc.simulate import (
     born_distribution,
     gap_experiment,
     run_protocol,
-    sample_inputs,
+    sample_counts,
 )
 
 
@@ -64,27 +64,46 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(shots=1, shards=0)
 
+    def test_rejects_more_shards_than_shots(self):
+        SimulationConfig(shots=5, shards=5)
+        with pytest.raises(ValueError):
+            SimulationConfig(shots=5, shards=6)
+
+    def test_rejects_more_than_max_shards(self):
+        SimulationConfig(shots=10**9, shards=simulate.MAX_SHARDS)
+        with pytest.raises(ValueError):
+            SimulationConfig(shots=10**9, shards=simulate.MAX_SHARDS + 1)
+
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ValueError):
             SimulationConfig(shots=1, protocol="psychic")
 
 
-class TestSampleInputs:
-    def test_input_frequencies(self, tables):
-        rng = np.random.Generator(np.random.Philox(123))
-        n = 100_000
-        count_000 = 0
-        y1_sum = 0
-        for _ in range(n):
-            inst = sample_inputs(rng, tables)
-            assert 3 not in inst.x
-            if inst.x == (0, 0, 0):
-                count_000 += 1
-            y1_sum += inst.y[0]
-        p = 5 / 22
-        stderr = math.sqrt(p * (1 - p) / n)
-        assert abs(count_000 / n - p) <= 5 * stderr
-        assert abs(y1_sum / n) <= 5 / math.sqrt(n)
+class TestTables:
+    def test_tally_rule_exhaustive(self, tables):
+        # every supported x, outcome a and sign bits y: the broadcast
+        # product y_i * a_i hits the target exactly on the win cells
+        g = tables.ineq.g
+        for k, x in enumerate(tables.support):
+            for a, bits in enumerate(itertools.product((1, -1), repeat=3)):
+                for y in ccp.Y_TUPLES:
+                    guess = math.prod(yi * ai for yi, ai in zip(y, bits))
+                    target = ccp.target_function(ccp.GameInstance(y, x), g)
+                    assert (guess == target) == tables.win[k, a]
+
+    def test_cell_law_reproduces_exact_success(self, tables):
+        for protocol, exact in (("classical", float(tables.p_classical_exact)),
+                                ("quantum", tables.p_quantum_exact)):
+            pi = tables.q_support[:, None] * tables.outcome_pmf[protocol]
+            assert pi.sum() == pytest.approx(1.0, abs=1e-15)
+            assert pi[tables.win].sum() == pytest.approx(exact, abs=1e-15)
+
+    def test_rejects_setting_without_observable(self, obs):
+        g = bell.homogenize(bell.sliwa5()).g.copy()
+        g[0, 3, 0] = 1
+        ineq = bell.FullCorrelationInequality(g=g, bound=9)
+        with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
+            GameTables(obs=obs, ineq=ineq)
 
 
 class TestRunProtocol:
@@ -117,10 +136,44 @@ class TestRunProtocol:
         # run must match a classical run with all sign functions fixed to +1
         eye_obs = [[np.eye(2)] * 3 for _ in range(3)]
         t = GameTables(obs=eye_obs)
-        t.classical_answer_sign = np.ones_like(t.classical_answer_sign)
+        all_plus = np.zeros_like(t.outcome_pmf["classical"])
+        all_plus[:, 0] = 1.0
+        t.outcome_pmf["classical"] = all_plus
         config_q = SimulationConfig(shots=20_000, seed=5, protocol="quantum")
         config_c = SimulationConfig(shots=20_000, seed=5, protocol="classical")
         assert run_protocol(config_q, t).successes == run_protocol(config_c, t).successes
+
+    @pytest.mark.parametrize("protocol,shards", [("quantum", 1), ("classical", 3)])
+    def test_cell_counts_fit_law(self, tables, rho, obs, protocol, shards):
+        # reference law built independently of GameTables' outcome tables
+        g = tables.ineq.g
+        q = ccp.input_distribution(g)
+        strategy, _ = ccp.optimal_classical_strategy(g)
+        pi = np.zeros((len(tables.support), 8))
+        for k, x in enumerate(tables.support):
+            if protocol == "quantum":
+                pi[k] = q[x] * born_distribution(rho, obs, x)
+            else:
+                bits = tuple(int(strategy.a[p][x[p]] < 0) for p in range(3))
+                pi[k, list(itertools.product((0, 1), repeat=3)).index(bits)] = q[x]
+        shots = 1_000_000
+        counts = sample_counts(
+            SimulationConfig(shots=shots, seed=9, protocol=protocol, shards=shards),
+            tables)
+        assert counts.sum() == shots
+        assert not counts[pi == 0].any()
+        live = pi > 0
+        expected = shots * pi[live]
+        chi2 = float(((counts[live] - expected) ** 2 / expected).sum())
+        # mean df, sd sqrt(2 df); 6 sd is far in the tail for any df here
+        df = int(live.sum()) - 1
+        assert chi2 <= df + 6 * math.sqrt(2 * df)
+        # the Q(x) marginal on its own
+        marginal = counts.sum(axis=1)
+        expected = shots * pi.sum(axis=1)
+        chi2 = float(((marginal - expected) ** 2 / expected).sum())
+        df = len(tables.support) - 1
+        assert chi2 <= df + 6 * math.sqrt(2 * df)
 
     def test_sqrt_law_convergence(self, tables):
         # deviations stay inside 5-sigma bands as shots grow 9x, seeds 0..9
