@@ -9,14 +9,13 @@ are exact rationals whenever the coefficient table is integral.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
 
-from .bell import N_PARTIES, N_SETTINGS, FullCorrelationInequality, MAX_STRATEGY_SPACE
+from .bell import N_PARTIES, N_SETTINGS, ClassicalStrategy, search_strategies
 
 Y_TUPLES = list(itertools.product((-1, 1), repeat=N_PARTIES))
 X_TUPLES = list(itertools.product(range(N_SETTINGS), repeat=N_PARTIES))
@@ -69,27 +68,6 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ClassicalStrategy:
-    """Per-party sign function a_i: setting -> {-1,+1}; party i broadcasts
-    s_i = y_i * a_i(x_i)."""
-    a: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def answer(self, inst: GameInstance) -> int:
-        prod = 1
-        for i in range(N_PARTIES):
-            prod *= inst.y[i] * self.a[i][inst.x[i]]
-        return prod
-
-
-def _bell_value(strategy: ClassicalStrategy, g: np.ndarray) -> float:
-    val = 0.0
-    for idx in np.argwhere(g != 0):
-        x = tuple(int(i) for i in idx)
-        val += float(g[x]) * strategy.a[0][x[0]] * strategy.a[1][x[1]] * strategy.a[2][x[2]]
-    return val
-
-
 def success_probability(value, sum_abs_g):
     """P = (1 + value/sum|g|) / 2; exact Fraction for integral inputs."""
     if sum_abs_g == 0:
@@ -97,11 +75,6 @@ def success_probability(value, sum_abs_g):
     if isinstance(value, Integral) and isinstance(sum_abs_g, Integral):
         return Fraction(int(sum_abs_g) + int(value), 2 * int(sum_abs_g))
     return 0.5 * (1.0 + value / sum_abs_g)
-
-
-def exact_success_classical(bound, sum_abs_g):
-    """Best classical success probability from the classical bound."""
-    return success_probability(bound, sum_abs_g)
 
 
 def exact_success_quantum(s_value: float, sum_abs_g) -> float:
@@ -124,23 +97,8 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
     sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
 
     live = sorted({(p, int(idx[p])) for idx in support for p in range(N_PARTIES)})
-    if 2 ** len(live) > MAX_STRATEGY_SPACE:
-        raise ValueError(f"strategy space 2^{len(live)} too large to enumerate")
-
-    best_val = -math.inf
-    best_strat = None
-    for bits in range(2 ** len(live)):
-        table = [[1] * N_SETTINGS for _ in range(N_PARTIES)]
-        for k, (party, setting) in enumerate(live):
-            table[party][setting] = 1 - 2 * ((bits >> k) & 1)
-        strat = ClassicalStrategy(tuple(tuple(row) for row in table))
-        val = _bell_value(strat, g)
-        if val > best_val:
-            best_val = val
-            best_strat = strat
-    if integral:
-        best_val = int(round(best_val))
-    return best_strat, success_probability(best_val, sum_abs)
+    _, best, argmax, _ = search_strategies(g, live)
+    return argmax, success_probability(int(round(best)) if integral else best, sum_abs)
 
 
 def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:
@@ -156,14 +114,3 @@ def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:
             if strategy.answer(inst) == target_function(inst, g):
                 total += q[x] / 2 ** N_PARTIES
     return total
-
-
-def game_description(ineq: FullCorrelationInequality) -> dict:
-    """JSON-ready description: coefficient table, input distribution, bound."""
-    return {
-        "n": ineq.n,
-        "settings": ineq.settings_per_party,
-        "g": ineq.g.tolist(),
-        "q": input_distribution(ineq.g).tolist(),
-        "bound": ineq.bound,
-    }

@@ -11,9 +11,7 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import bell, ccp, simulate, state
+from . import bell, simulate, state, tolerances
 
 SIG_DIGITS = 12
 
@@ -71,11 +69,11 @@ def cmd_state_validate(args) -> int:
     report = state.validate_state(state.build_vb_state())
     emit(report.to_dict(), args.format)
     ok = (
-        report.trace_deviation <= 1e-9
-        and report.min_eigenvalue >= -1e-6
-        and report.pt_invariance_deviation <= 1e-5
-        and report.permutation_symmetry_deviation <= 1e-5
-        and all(e >= -1e-5 for e in report.pt_min_eigenvalues)
+        report.trace_deviation <= tolerances.FLOAT
+        and report.min_eigenvalue >= -tolerances.PRINT_DIGIT
+        and report.pt_invariance_deviation <= tolerances.TRANSCRIPTION
+        and report.permutation_symmetry_deviation <= tolerances.TRANSCRIPTION
+        and all(e >= -tolerances.TRANSCRIPTION for e in report.pt_min_eigenvalues)
     )
     return 0 if ok else 1
 
@@ -86,38 +84,31 @@ def cmd_state_dump(args) -> int:
 
 
 def cmd_bell_bounds(args) -> int:
-    if args.original:
-        ineq = bell.sliwa5()
-        n_strategies = 64
-    else:
-        ineq = bell.homogenize(bell.sliwa5())
-        n_strategies = 512
-    lo, hi, argmax = bell.classical_extrema(ineq)
+    ineq = bell.sliwa5() if args.original else bell.homogenize(bell.sliwa5())
+    lo, hi, argmax, enumerated = bell.search_strategies(*bell.strategy_space(ineq))
     emit({
         "form": "original" if args.original else "homogenized",
         "min": lo,
         "max": hi,
-        "strategies_enumerated": n_strategies,
-        "argmax_strategy": [list(row) for row in argmax.outputs],
+        "strategies_enumerated": enumerated,
+        "argmax_strategy": [list(row) for row in argmax.a],
     }, args.format)
     return 0
 
 
 def cmd_bell_quantum_value(args) -> int:
-    rho = state.build_vb_state()
-    obs = bell.measurement_observables()
+    corr = bell.correlations(bell.born_table(state.build_vb_state(),
+                                             bell.measurement_observables()))
     hom = bell.homogenize(bell.sliwa5())
-    per_term = {}
-    for idx in np.argwhere(hom.g != 0):
-        x = tuple(int(i) for i in idx)
-        per_term[f"E{x}"] = bell.correlation(rho, obs, x)
-    s = bell.quantum_value(hom, rho, obs)
+    support, e = bell.on_support(corr, hom.g)
+    s = bell.expression_value(hom.g, corr)
     emit({
         "quantum_value": s,
         "classical_bound": hom.bound,
         "violation": s - hom.bound,
-        "original_expression_value": bell.general_quantum_value(bell.sliwa5(), rho, obs),
-        "correlations": per_term,
+        "original_expression_value": bell.expression_value(
+            bell.coefficient_table(bell.sliwa5()), corr),
+        "correlations": {f"E{x}": float(v) for x, v in zip(support, e)},
     }, args.format)
     return 0 if s > hom.bound else 1
 

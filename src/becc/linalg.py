@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-9
+from . import tolerances
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
@@ -17,26 +17,6 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker (tensor) product of two square matrices."""
-    return np.kron(_as_square(a), _as_square(b))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _as_square(a), _as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    return _as_square(m).conj().T
-
-
-def trace(m: np.ndarray) -> complex:
-    return complex(np.trace(_as_square(m)))
 
 
 def normalize_ket(amplitudes: np.ndarray) -> np.ndarray:
@@ -83,7 +63,7 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray, tol: float = tolerances.FLOAT) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Rejects matrices that are not Hermitian within ``tol``; a violation

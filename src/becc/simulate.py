@@ -16,7 +16,6 @@ substreams and the report is a pure function of
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -25,15 +24,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import bell, ccp, state
-from .bell import N_PARTIES, FullCorrelationInequality
+from .bell import N_PARTIES, OUTCOME_PRODUCT, FullCorrelationInequality
+from .bell import born_distribution  # re-exported: P(a|x) for one setting tuple
 
-NEGATIVITY_TOL = 1e-12
 # one SeedSequence and generator per shard; the cap keeps a run's set-up bounded
 MAX_SHARDS = 1024
-
-# outcome triple (a1,a2,a3) encoded as a 3-bit index, bit=1 meaning a=-1,
-# party 1 most significant (same convention as the state's basis index)
-OUTCOME_PRODUCT = np.array([1 - 2 * (bin(o).count("1") % 2) for o in range(8)])
 
 
 @dataclass(frozen=True)
@@ -100,39 +95,6 @@ class GapReport:
         return json.dumps(self.to_dict())
 
 
-def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
-                      x: tuple[int, int, int]) -> np.ndarray:
-    """Joint outcome distribution P(a1,a2,a3 | x) from projective
-    measurements, indexed by the 3-bit outcome encoding.
-
-    The identity setting has projectors (I, 0), so its outcome is
-    deterministically +1.  Probabilities within -1e-12 of zero are
-    clamped and the distribution renormalized; anything more negative is
-    an error.
-    """
-    projectors = []
-    for party, setting in enumerate(x):
-        if not 0 <= setting < len(obs[party]):
-            raise ValueError(f"party {party + 1} has no observable for setting {setting}")
-        o = obs[party][setting]
-        eye = np.eye(o.shape[0])
-        projectors.append(((eye + o) / 2, (eye - o) / 2))
-
-    probs = np.empty(8)
-    for o_idx, bits in enumerate(itertools.product((0, 1), repeat=N_PARTIES)):
-        big = np.kron(np.kron(projectors[0][bits[0]], projectors[1][bits[1]]),
-                      projectors[2][bits[2]])
-        probs[o_idx] = float(np.trace(np.asarray(rho) @ big).real)
-
-    if probs.min() < -NEGATIVITY_TOL:
-        raise ValueError(f"negative outcome probability {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total}")
-    return probs / total
-
-
 class GameTables:
     """Everything a run needs, computed once.
 
@@ -150,13 +112,9 @@ class GameTables:
 
         g = self.ineq.g
         q = ccp.input_distribution(g)
-        self.support = [tuple(int(i) for i in idx) for idx in np.argwhere(g != 0)]
-        for x in self.support:
-            for party, setting in enumerate(x):
-                if setting >= len(self.obs[party]):
-                    raise ValueError(
-                        f"inequality uses setting tuple {x}, but party {party + 1} "
-                        f"has no observable for setting {setting}")
+        # one Born contraction gives both the outcome tables and S
+        born = bell.born_table(self.rho, self.obs)
+        self.support, quantum_pmf = bell.on_support(born, g)
         self.q_support = np.array([q[x] for x in self.support])
         self.target_sign = np.array([1 if g[x] > 0 else -1 for x in self.support])
         self.win = OUTCOME_PRODUCT == self.target_sign[:, None]
@@ -166,14 +124,12 @@ class GameTables:
         answer = [sum(int(strategy.a[p][s] < 0) << (N_PARTIES - 1 - p)
                       for p, s in enumerate(x)) for x in self.support]
         self.outcome_pmf = {
-            "quantum": np.array([born_distribution(self.rho, self.obs, x)
-                                 for x in self.support]),
+            "quantum": quantum_pmf,
             "classical": np.eye(len(OUTCOME_PRODUCT))[answer],
         }
 
-        s_value = bell.quantum_value(self.ineq, self.rho, self.obs)
-        self.quantum_value = s_value
-        self.p_quantum_exact = ccp.exact_success_quantum(s_value, self.ineq.sum_abs())
+        s = self.quantum_value = bell.expression_value(g, bell.correlations(born))
+        self.p_quantum_exact = ccp.exact_success_quantum(s, self.ineq.sum_abs())
 
 
 _DEFAULT_TABLES: GameTables | None = None

@@ -3,8 +3,8 @@
 The state is a fixed mixture of four pure states given by 6-decimal
 amplitudes.  Those printed decimals carry ~1e-6 rounding, so certificates
 driven by them (permutation symmetry, partial-transpose invariance) are
-checked at 1e-5, while anything driven only by floating-point arithmetic
-is checked at 1e-9.
+checked at ``tolerances.TRANSCRIPTION``, while anything driven only by
+floating-point arithmetic is checked at ``tolerances.FLOAT``.
 
 Basis convention: party 1 is the most significant qubit, so basis index
 b = 4*b1 + 2*b2 + b3 corresponds to |b1 b2 b3>.
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tolerances
 
 # Mixture weights p_1..p_4 as printed (sum = 1.0000009; renormalized below).
 MIXTURE_WEIGHTS = (0.0636039, 0.273734, 0.273734, 0.388929)
@@ -30,9 +31,6 @@ PURE_STATE_AMPLITUDES = (
     (0.0, -0.596008, 0.0, -0.380492, 0.596008, 0.0, 0.380492, 0.0),
     (-0.933013, 0.0, 0.0, 0.149429, 0.0, 0.149429, 0.149429, 0.25),
 )
-
-PRINT_ROUNDING_TOL = 1e-5   # deviations driven by the 6-decimal transcription
-FLOAT_TOL = 1e-9            # deviations driven only by arithmetic
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,10 @@ class StateReport:
 def _check_transcription() -> None:
     for i, amps in enumerate(PURE_STATE_AMPLITUDES):
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-4:
-            raise AssertionError(f"pure state {i + 1} norm {norm} off by > 1e-4")
-    if abs(sum(MIXTURE_WEIGHTS) - 1.0) > 1e-5:
-        raise AssertionError("mixture weights sum off by > 1e-5")
+        if abs(norm - 1.0) > tolerances.KET_NORM:
+            raise AssertionError(f"pure state {i + 1} has norm {norm}")
+    if abs(sum(MIXTURE_WEIGHTS) - 1.0) > tolerances.TRANSCRIPTION:
+        raise AssertionError(f"mixture weights sum to {sum(MIXTURE_WEIGHTS)}")
 
 
 def build_vb_state() -> np.ndarray:
@@ -128,7 +126,21 @@ def state_to_json(rho: np.ndarray) -> str:
 
 
 def state_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    dim = doc["dim"]
-    flat = np.array([complex(re, im) for re, im in doc["entries"]])
-    return flat.reshape(dim, dim)
+    """Parse state_to_json output.  Raises ValueError unless the entries
+    form a dim x dim matrix that is finite and Hermitian within FLOAT."""
+    try:
+        doc = json.loads(text)
+        dim = doc["dim"]
+        flat = np.array([complex(re, im) for re, im in doc["entries"]], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed state document: {exc!r}") from None
+    side = math.isqrt(len(flat))
+    if side == 0 or side * side != len(flat):
+        raise ValueError(f"{len(flat)} entries do not form a square matrix")
+    if dim != side:
+        raise ValueError(f"dim {dim!r} does not match the {side}x{side} entries")
+    m = flat.reshape(side, side)
+    dev = linalg.hermiticity_deviation(m)  # also rejects non-finite entries
+    if dev > tolerances.FLOAT:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    return m

@@ -129,7 +129,7 @@ class TestClassicalExtrema:
         _, hi, argmax = classical_extrema(hom)
         assert hi == float(hom.g.sum()) == 8
         # lexicographic tie-break picks the all-ones strategy (encoding 0)
-        assert all(v == 1 for row in argmax.outputs for v in row)
+        assert all(v == 1 for row in argmax.a for v in row)
 
     def test_strategy_space_guard(self):
         terms = tuple(Term((s, None, None), 1.0) for s in range(1, 10)) \
@@ -174,6 +174,22 @@ class TestCorrelation:
     def test_setting_out_of_range(self, rho, obs):
         with pytest.raises(ValueError):
             correlation(rho, obs, (3, 0, 0))
+
+
+class TestBornTable:
+    def test_shape_and_identity_tuple(self, rho, obs):
+        table = bell.born_table(rho, obs)
+        assert table.shape == (3, 3, 3, 8)
+        assert table[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad_rho,match", [
+        (np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]), "negative outcome probability"),
+        (np.eye(8) / 4, "sum to"),
+        (np.eye(8) / 8 + 1e-3j * np.triu(np.ones((8, 8)), 1), "imaginary part"),
+    ])
+    def test_rejects_invalid_state(self, obs, bad_rho, match):
+        with pytest.raises(ValueError, match=match):
+            bell.born_table(bad_rho, obs)
 
 
 class TestQuantumValue:

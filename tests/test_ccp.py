@@ -9,7 +9,6 @@ from becc import bell, ccp
 from becc.ccp import (
     ClassicalStrategy,
     GameInstance,
-    exact_success_classical,
     exact_success_quantum,
     input_distribution,
     optimal_classical_strategy,
@@ -89,14 +88,14 @@ class TestScalarProduct:
 
 class TestSuccessProbability:
     def test_classical_exact_rational(self):
-        assert exact_success_classical(8, 22) == Fraction(15, 22)
-        assert float(exact_success_classical(8, 22)) == pytest.approx(0.681818, abs=1e-6)
+        assert success_probability(8, 22) == Fraction(15, 22)
+        assert float(success_probability(8, 22)) == pytest.approx(0.681818, abs=1e-6)
 
     def test_quantum_headline(self):
         assert exact_success_quantum(8.00685, 22) == pytest.approx(0.681974, abs=1e-5)
 
     def test_zero_value_is_coin_flip(self):
-        assert exact_success_classical(0, 7) == Fraction(1, 2)
+        assert success_probability(0, 7) == Fraction(1, 2)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -159,11 +158,3 @@ class TestSuccessIdentity:
             via_product = 0.5 * (1.0 + scalar_product(f, strategy.answer, q))
             assert direct == pytest.approx(via_product, abs=1e-12)
 
-
-class TestGameDescription:
-    def test_json_ready(self, g):
-        desc = ccp.game_description(bell.homogenize(bell.sliwa5()))
-        assert desc["bound"] == 8
-        assert desc["q"][0][0][0] == pytest.approx(5 / 22)
-        import json
-        json.dumps(desc)

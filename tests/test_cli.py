@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from becc import bell
 from becc.cli import main
 
 
@@ -39,6 +40,28 @@ class TestBellCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["max"] == 8 and doc["strategies_enumerated"] == 512
+
+    @pytest.mark.parametrize("form,n_terms", [
+        ("--original", 17), ("--original", 3), ("--homogenized", 17)])
+    def test_bounds_count_is_measured(self, capsys, monkeypatch, form, n_terms):
+        # the first 3 terms (A1, B1, C1) leave 3 free slots: a count that is
+        # not measured would still print 64
+        ineq = bell.GeneralInequality(bell.sliwa5().terms[:n_terms], -13.0, 3.0)
+        monkeypatch.setattr(bell, "sliwa5", lambda: ineq)
+        # free slots counted from the inequality: every (party, setting) a
+        # term uses, or every non-identity setting of the homogenized form
+        if form == "--original":
+            n_free = len({(p, s) for t in ineq.terms
+                          for p, s in enumerate(t.settings) if s is not None})
+        else:
+            n_free = 3 * (4 - 1)
+        # small blocks, so the count and the tie-break cross block edges
+        monkeypatch.setattr(bell, "STRATEGY_BLOCK", 5)
+        code, out = run(capsys, "bell", "bounds", form, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["strategies_enumerated"] == 2 ** n_free
+        assert all(v == 1 for row in doc["argmax_strategy"] for v in row)
 
     def test_quantum_value(self, capsys):
         code, out = run(capsys, "bell", "quantum-value", "--format", "json")

@@ -6,7 +6,6 @@ import pytest
 from becc import linalg
 
 
-I2 = np.eye(2)
 I4 = np.eye(4)
 I8 = np.eye(8)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -15,40 +14,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 def random_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (m + m.conj().T) / 2
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(I2, I2), I4)
-
-    def test_diagonal(self):
-        d = np.diag([1.0, -1.0])
-        assert np.array_equal(linalg.kron(d, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_reflection_top_left_entry(self):
-        c, s = math.cos(2 * math.pi / 9), math.sin(2 * math.pi / 9)
-        a1 = np.array([[c, s], [s, -c]])
-        out = linalg.kron(a1, a1)
-        assert out.shape == (4, 4)
-        # c^2 evaluated independently: cos(2*pi/9)**2 = 0.58682408883...
-        assert out[0, 0] == pytest.approx(0.586824088833, abs=1e-9)
-
-    def test_associative_on_integer_matrices(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(float) for _ in range(3))
-            left = linalg.kron(linalg.kron(a, b), c)
-            right = linalg.kron(a, linalg.kron(b, c))
-            assert np.array_equal(left, right)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            lhs = linalg.trace(linalg.kron(a, b))
-            rhs = linalg.trace(a) * linalg.trace(b)
-            assert abs(lhs - rhs) < 1e-12
 
 
 class TestPartialTranspose:
@@ -113,13 +78,10 @@ class TestHermitianEigenvalues:
         for _ in range(10):
             m = random_hermitian(rng, 8)
             eigs = linalg.hermitian_eigenvalues(m)
-            assert abs(eigs.sum() - linalg.trace(m).real) < 1e-9
+            assert abs(eigs.sum() - np.trace(m).real) < 1e-9
 
 
 class TestBasics:
-    def test_trace_identity(self):
-        assert linalg.trace(I8) == 8
-
     def test_outer_basis_ket(self):
         ket = np.zeros(8)
         ket[0] = 1.0
@@ -127,15 +89,6 @@ class TestBasics:
         expected = np.zeros((8, 8))
         expected[0, 0] = 1.0
         assert np.array_equal(proj, expected)
-
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(linalg.adjoint(linalg.adjoint(m)), m)
-
-    def test_matmul_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.matmul(I2, I4)
 
     def test_normalize_zero_vector(self):
         with pytest.raises(ValueError):

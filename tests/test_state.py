@@ -113,6 +113,18 @@ class TestSerialization:
         back = state.state_from_json(text)
         assert np.array_equal(back, rho.astype(complex))
 
+    @pytest.mark.parametrize("change,match", [
+        (lambda doc: doc["entries"].pop(), "square"),
+        (lambda doc: doc.update(dim=4), "dim"),
+        (lambda doc: doc["entries"][9].__setitem__(0, float("nan")), "non-finite"),
+        (lambda doc: doc["entries"][1].__setitem__(0, 0.5), "not Hermitian"),
+    ], ids=["non_square", "wrong_dim", "non_finite", "non_hermitian"])
+    def test_rejects_bad_document(self, rho, change, match):
+        doc = json.loads(state.state_to_json(rho))
+        change(doc)
+        with pytest.raises(ValueError, match=match):
+            state.state_from_json(json.dumps(doc))
+
     def test_row_major_pairs(self, rho):
         doc = json.loads(state.state_to_json(rho))
         assert doc["dim"] == 8
