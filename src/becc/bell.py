@@ -47,7 +47,6 @@ class GeneralInequality:
     terms: tuple[Term, ...]
     lower_bound: float
     upper_bound: float
-    symmetrized: bool = True
 
     def __post_init__(self):
         if self.lower_bound > self.upper_bound:
@@ -56,11 +55,10 @@ class GeneralInequality:
 
 @dataclass(frozen=True)
 class FullCorrelationInequality:
-    """Dense coefficient table g over setting tuples, with bound |sum g E| <= bound."""
+    """Dense coefficient table g over setting tuples, with bound |sum g E| <= bound.
+    The parties and settings per party are g's axes and their length."""
     g: np.ndarray = field(repr=False)  # shape (4, 4, 4)
     bound: float = 0.0
-    n: int = N_PARTIES
-    settings_per_party: int = N_SETTINGS
 
     def __post_init__(self):
         if self.g.shape != (N_SETTINGS,) * N_PARTIES:
@@ -73,16 +71,11 @@ class FullCorrelationInequality:
 
     def to_json(self) -> str:
         return json.dumps({
-            "n": self.n,
-            "settings": self.settings_per_party,
+            "n": self.g.ndim,
+            "settings": self.g.shape[0],
             "g": self.g.tolist(),
             "bound": self.bound,
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "FullCorrelationInequality":
-        doc = json.loads(text)
-        return cls(g=np.array(doc["g"], dtype=float), bound=float(doc["bound"]))
 
 
 Inequality = FullCorrelationInequality | GeneralInequality
@@ -197,7 +190,7 @@ def strategy_space(ineq: Inequality) -> tuple[np.ndarray, list[tuple[int, int]]]
     are the ones its terms use: 2^6 = 64 for the original inequality.
     """
     if isinstance(ineq, FullCorrelationInequality):
-        free = [(p, s) for p in range(N_PARTIES) for s in range(1, ineq.settings_per_party)]
+        free = [(p, s) for p in range(N_PARTIES) for s in range(1, ineq.g.shape[0])]
     else:
         free = sorted({(p, s) for t in ineq.terms
                        for p, s in enumerate(t.settings) if s is not None})

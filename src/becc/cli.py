@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -27,38 +26,25 @@ def _round_floats(obj):
 
 
 def emit(data: dict, fmt: str) -> None:
+    """Print a report; a non-finite value in JSON raises ValueError (exit 1)."""
     if fmt == "json":
-        print(json.dumps(_round_floats(data)))
+        print(json.dumps(_round_floats(data), allow_nan=False))
     elif fmt == "csv":
         print("key,value")
         for k, v in data.items():
             if isinstance(v, (list, tuple, dict)):
-                v = json.dumps(_round_floats(v))
+                v = json.dumps(_round_floats(v), allow_nan=False)
             print(f"{k},{_round_floats(v)}")
     else:
         for k, v in data.items():
             print(f"{k}: {_round_floats(v)}")
 
 
-def _int_in_range(low: int, high: float = math.inf):
-    """argparse type: an integer in [low, high], so that a bad value is a
-    usage error (exit 2) rather than a contract violation."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if not low <= value <= high:
-            allowed = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {allowed}, got {value}")
-        return value
-    return parse
-
-
 def _add_run_args(p: argparse.ArgumentParser, **shots_kwargs) -> None:
-    p.add_argument("--shots", type=_int_in_range(1), **shots_kwargs)
-    p.add_argument("--seed", type=_int_in_range(0), default=0)
-    p.add_argument("--shards", type=_int_in_range(1, simulate.MAX_SHARDS), default=1)
+    """Run arguments; main checks their limits through SimulationConfig."""
+    p.add_argument("--shots", type=int, **shots_kwargs)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shards", type=int, default=1)
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -136,15 +122,14 @@ def cmd_game_exact(args) -> int:
 
 
 def cmd_game_simulate(args) -> int:
-    config = simulate.SimulationConfig(
-        shots=args.shots, seed=args.seed, protocol=args.protocol, shards=args.shards)
-    report = simulate.run_protocol(config)
+    report = simulate.run_protocol(args.config)
     emit(report.to_dict(), args.format)
     return 0
 
 
 def cmd_game_gap(args) -> int:
-    report = simulate.gap_experiment(args.shots, seed=args.seed, shards=args.shards)
+    c = args.config
+    report = simulate.gap_experiment(c.shots, seed=c.seed, shards=c.shards)
     if report.underpowered:
         print("warning: shot count too low to resolve the quantum-classical gap",
               file=sys.stderr)
@@ -231,8 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "shards", 1) > getattr(args, "shots", 1):
-        parser.error("--shards must not exceed --shots")
+    if hasattr(args, "shots"):
+        # a run's limits live in SimulationConfig; breaking one is a usage error
+        try:
+            args.config = simulate.SimulationConfig(
+                shots=args.shots, seed=args.seed, shards=args.shards,
+                protocol=getattr(args, "protocol", "quantum"))
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -16,10 +16,10 @@ substreams and the report is a pure function of
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, asdict
+from numbers import Integral
 
 import numpy as np
 
@@ -29,22 +29,30 @@ from .bell import born_distribution  # re-exported: P(a|x) for one setting tuple
 
 # one SeedSequence and generator per shard; the cap keeps a run's set-up bounded
 MAX_SHARDS = 1024
+# counts are int64, so a run's shots (and a shard's) must fit in one
+MAX_SHOTS = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """The inputs of one run, and the one place their limits are checked."""
     shots: int
     seed: int = 0
     protocol: str = "quantum"
     shards: int = 1
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shards > min(self.shots, MAX_SHARDS):
-            raise ValueError(f"shards must not exceed shots or {MAX_SHARDS}")
+        for name in ("shots", "seed", "shards"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 1 <= self.shards <= min(self.shots, MAX_SHARDS):
+            raise ValueError(f"shards must be in [1, min(shots, {MAX_SHARDS})], "
+                             f"got {self.shards}")
         if self.protocol not in ("classical", "quantum"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
@@ -65,9 +73,6 @@ class SimulationReport:
         d["p_hat"] = d.pop("empirical_probability")
         d["stderr"] = d.pop("standard_error")
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,6 @@ class GapReport:
             underpowered=self.underpowered,
         )
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 class GameTables:
@@ -189,23 +191,24 @@ def gap_experiment(shots: int, seed: int = 0, shards: int = 1,
     """Simulate the quantum protocol and compare against the exact
     classical optimum (a rational number, never simulated).
 
-    A run is flagged underpowered when sqrt(p(1-p)/shots) is not below a
-    quarter of the exact quantum-classical gap, i.e. when the z-score
-    cannot be expected to reach ~4.
+    z is the score test of p_hat against the classical null P_C,
+    (p_hat - P_C) / sqrt(P_C (1 - P_C) / shots): its spread comes from P_C,
+    not from the sample, so it is finite for every run.  A run is flagged
+    underpowered when sqrt(p(1-p)/shots) is not below a quarter of the
+    exact quantum-classical gap, i.e. when z cannot be expected to reach ~4.
     """
     tables = tables or default_tables()
     report = run_protocol(
         SimulationConfig(shots=shots, seed=seed, protocol="quantum", shards=shards),
         tables)
-    p_c = tables.p_classical_exact
+    p_c = float(tables.p_classical_exact)
     p_q = tables.p_quantum_exact
-    gap = p_q - float(p_c)
-    stderr = report.standard_error
+    gap = p_q - p_c
     expected_stderr = math.sqrt(p_q * (1.0 - p_q) / shots)
-    z = (report.empirical_probability - float(p_c)) / stderr if stderr > 0 else math.inf
+    z = (report.empirical_probability - p_c) / math.sqrt(p_c * (1.0 - p_c) / shots)
     return GapReport(
         simulation=report,
-        p_classical_exact=float(p_c),
+        p_classical_exact=p_c,
         p_quantum_exact=p_q,
         exact_gap=gap,
         z_vs_classical=z,

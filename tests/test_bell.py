@@ -79,7 +79,11 @@ class TestHomogenize:
         assert hom.sum_abs() == 22
 
     def test_json_roundtrip(self, hom):
-        back = FullCorrelationInequality.from_json(hom.to_json())
+        # n and settings are read from g's shape; g and the bound rebuild
+        # the inequality
+        doc = json.loads(hom.to_json())
+        assert (doc["n"], doc["settings"]) == (3, 4)
+        back = FullCorrelationInequality(g=np.array(doc["g"]), bound=doc["bound"])
         assert np.array_equal(back.g, hom.g)
         assert back.bound == hom.bound
 
@@ -121,6 +125,14 @@ class TestClassicalExtrema:
     def test_single_term_inequality(self):
         g = np.zeros((4, 4, 4))
         g[1, 1, 1] = 1.0
+        lo, hi, _ = classical_extrema(FullCorrelationInequality(g=g, bound=1.0))
+        assert (lo, hi) == (-1, 1)
+
+    def test_settings_come_from_g(self):
+        # every non-identity setting of g is free: one term on setting 2
+        # reaches both -1 and +1
+        g = np.zeros((4, 4, 4))
+        g[2, 2, 2] = -1.0
         lo, hi, _ = classical_extrema(FullCorrelationInequality(g=g, bound=1.0))
         assert (lo, hi) == (-1, 1)
 

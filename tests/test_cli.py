@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from becc import bell
-from becc.cli import main
+from becc.cli import emit, main
 
 
 def run(capsys, *argv):
@@ -109,6 +110,19 @@ class TestGameCommands:
         doc = json.loads(out)
         assert doc["underpowered"] is True
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gap_single_shot_is_strict_json(self, capsys, seed):
+        # one shot gives p_hat 0 or 1: z is finite and has the sign of
+        # p_hat - P_C (the old plug-in z printed Infinity at p_hat 0)
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+        code, out = run(capsys, "game", "gap", "--shots", "1",
+                        "--seed", str(seed), "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert math.copysign(1, doc["z_vs_classical"]) == \
+            math.copysign(1, doc["p_hat"] - doc["p_classical_exact"])
+
 
 class TestReproduce:
     def test_all_headlines_pass(self, capsys):
@@ -133,6 +147,12 @@ class TestOutputContract:
         assert lines[0] == "key,value"
         assert any(line.startswith("p_c_exact,") for line in lines)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_json_is_an_error(self, fmt):
+        # main turns the ValueError into exit 1 instead of printing Infinity
+        with pytest.raises(ValueError):
+            emit({"z": [float("inf")]}, fmt)
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -153,6 +173,12 @@ class TestOutputContract:
         ("game", "gap", "--shots", "-5"),
         ("game", "gap", "--shots", "1000", "--seed", "-1"),
         ("game", "gap", "--shots", "1000", "--shards", "0"),
+        # counts are int64: shot counts beyond 2^63 - 1 are usage errors
+        ("game", "simulate", "--protocol", "quantum", "--shots", str(2**63)),
+        ("game", "simulate", "--protocol", "quantum", "--shots", str(2**64),
+         "--shards", "4"),
+        ("game", "simulate", "--protocol", "classical", "--shots", str(2**65),
+         "--shards", "8"),
     ])
     def test_bad_run_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:

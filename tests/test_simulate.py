@@ -74,6 +74,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(shots=10**9, shards=simulate.MAX_SHARDS + 1)
 
+    def test_rejects_shots_beyond_int64(self):
+        SimulationConfig(shots=2**63 - 1)
+        with pytest.raises(ValueError):
+            SimulationConfig(shots=2**63)
+
+    @pytest.mark.parametrize("field", ["shots", "seed", "shards"])
+    def test_rejects_non_integer(self, field):
+        # a float shot count was truncated by the multinomial draw, so
+        # shots=2.5 reported 2 successes as p_hat 0.8
+        with pytest.raises(ValueError, match="integer"):
+            SimulationConfig(**{"shots": 10, "seed": 0, "shards": 1, field: 2.5})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            SimulationConfig(shots=1, seed=-1)
+
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ValueError):
             SimulationConfig(shots=1, protocol="psychic")
@@ -189,7 +205,7 @@ class TestRunProtocol:
     def test_report_json(self, tables):
         report = run_protocol(
             SimulationConfig(shots=1000, seed=0, protocol="quantum"), tables)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         for key in ("protocol", "shots", "successes", "p_hat", "stderr", "seed"):
             assert key in doc
 
@@ -225,5 +241,5 @@ class TestGapExperiment:
         assert math.sqrt(p * (1 - p) / shots) < gap / 4
 
     def test_json(self, tables):
-        doc = json.loads(gap_experiment(1000, seed=0, tables=tables).to_json())
+        doc = json.loads(json.dumps(gap_experiment(1000, seed=0, tables=tables).to_dict()))
         assert "z_vs_classical" in doc and "underpowered" in doc
