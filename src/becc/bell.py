@@ -1,15 +1,15 @@
 """Three-party Bell inequality machinery.
 
-Covers the original 2-setting inequality (Sliwa's #5), its homogenized
-full-correlation form with an identity "setting 0" per party, classical
-bounds by exhaustive enumeration of deterministic local strategies, and
-Born probabilities and quantum values from a shared state and measurement
-observables.
+An inequality is one dense coefficient table g with an axis per party,
+setting 0 being the identity, and two-sided classical bounds.  Covers the
+original 2-setting inequality (Sliwa's #5), its homogenized
+full-correlation form, classical bounds by exhaustive enumeration of
+deterministic local strategies, and Born probabilities and quantum
+values from a shared state and measurement observables.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,106 +31,63 @@ OUTCOME_PRODUCT = np.array([1 - 2 * (bin(o).count("1") % 2) for o in range(2 ** 
 
 
 @dataclass(frozen=True)
-class Term:
-    """One product term of a general inequality.
+class Inequality:
+    """lower_bound <= sum_x g(x) E(x) <= upper_bound for every classical
+    strategy.
 
-    ``settings[i]`` is party i's setting, or None when the party is absent
-    (lower-order term).  A term with all parties absent is a constant.
+    g is a cube with one axis per party.  Setting 0 is the identity, so a
+    term without party i sits at x_i = 0 and a constant sits on the
+    all-identity tuple.
     """
-    settings: tuple[int | None, int | None, int | None]
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class GeneralInequality:
-    """Term-list inequality with two-sided classical bounds."""
-    terms: tuple[Term, ...]
+    g: np.ndarray = field(repr=False)
     lower_bound: float
     upper_bound: float
 
     def __post_init__(self):
-        if self.lower_bound > self.upper_bound:
-            raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class FullCorrelationInequality:
-    """Dense coefficient table g over setting tuples, with bound |sum g E| <= bound.
-    The parties and settings per party are g's axes and their length."""
-    g: np.ndarray = field(repr=False)  # shape (4, 4, 4)
-    bound: float = 0.0
-
-    def __post_init__(self):
-        if self.g.shape != (N_SETTINGS,) * N_PARTIES:
-            raise ValueError(f"coefficient table must be 4x4x4, got {self.g.shape}")
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+        if self.g.ndim != N_PARTIES or len(set(self.g.shape)) > 1:
+            raise ValueError(f"coefficient table must be a cube with {N_PARTIES} axes, "
+                             f"got shape {self.g.shape}")
+        if not np.all(np.isfinite(self.g)):
+            raise ValueError("coefficient table has a non-finite entry")
         if not np.any(self.g):
             raise ValueError("all-zero coefficient table")
+        if not (math.isfinite(self.lower_bound) and math.isfinite(self.upper_bound)):
+            raise ValueError("bounds must be finite")
+        if self.lower_bound > self.upper_bound:
+            raise ValueError("lower bound exceeds upper bound")
 
     def sum_abs(self) -> float:
         return float(np.abs(self.g).sum())
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.g.ndim,
-            "settings": self.g.shape[0],
-            "g": self.g.tolist(),
-            "bound": self.bound,
-        })
+
+# Base terms of Sliwa's inequality #5 as setting tuples, 0 for an absent
+# party: A1 + A1B2 - A2B2 - A1B1C1 - A2B1C1 + A2B2C2, bounds -13 .. 3.
+_SLIWA5_BASE = {(1, 0, 0): 1.0, (1, 2, 0): 1.0, (2, 2, 0): -1.0,
+                (1, 1, 1): -1.0, (2, 1, 1): -1.0, (2, 2, 2): 1.0}
 
 
-Inequality = FullCorrelationInequality | GeneralInequality
+def sliwa5() -> Inequality:
+    """The original two-setting inequality, symmetrized over the parties:
+    each base term on every permutation of its settings (17 entries)."""
+    g = np.zeros((3,) * N_PARTIES)
+    for x, c in _SLIWA5_BASE.items():
+        for y in set(itertools.permutations(x)):
+            g[y] += c
+    return Inequality(g, lower_bound=-13.0, upper_bound=3.0)
 
 
-def symmetrize(term: Term) -> list[Term]:
-    """Orbit of a term under all party permutations, without duplicates."""
-    seen = []
-    for perm in itertools.permutations(range(N_PARTIES)):
-        s = tuple(term.settings[perm[i]] for i in range(N_PARTIES))
-        if s not in seen:
-            seen.append(s)
-    return [Term(s, term.coefficient) for s in seen]
+def homogenize(ineq: Inequality) -> Inequality:
+    """Full-correlation form with bounds -+(upper - lower)/2.
 
-
-# Base terms of Sliwa's inequality #5 before symmetrization:
-# A1 + A1B2 - A2B2 - A1B1C1 - A2B1C1 + A2B2C2, bounds -13 .. 3.
-_SLIWA5_BASE = (
-    Term((1, None, None), 1.0),
-    Term((1, 2, None), 1.0),
-    Term((2, 2, None), -1.0),
-    Term((1, 1, 1), -1.0),
-    Term((2, 1, 1), -1.0),
-    Term((2, 2, 2), 1.0),
-)
-
-
-def sliwa5() -> GeneralInequality:
-    """The original two-setting inequality, fully symmetrized (17 terms)."""
-    terms = []
-    for base in _SLIWA5_BASE:
-        terms.extend(symmetrize(base))
-    return GeneralInequality(tuple(terms), lower_bound=-13.0, upper_bound=3.0)
-
-
-def _lift(terms, n_settings: int) -> np.ndarray:
-    """Dense coefficient table of a term list: absent parties get the
-    identity setting 0, so a constant lands on the all-identity tuple."""
-    g = np.zeros((n_settings,) * N_PARTIES)
-    for t in terms:
-        g[tuple(0 if s is None else s for s in t.settings)] += t.coefficient
-    return g
-
-
-def homogenize(ineq: GeneralInequality) -> FullCorrelationInequality:
-    """Lift a general inequality to full-correlation form.
-
-    Absent parties get the identity setting 0; the constant shift
-    c = -(lower+upper)/2 that symmetrizes the bounds becomes the
-    coefficient of the all-identity tuple; the new bound is
-    (upper - lower)/2 and applies to the absolute value.
+    g is padded to N_SETTINGS settings per party, and the constant shift
+    -(lower + upper)/2 that centres the bounds is added to the
+    all-identity tuple.
     """
-    g = _lift(ineq.terms, N_SETTINGS)
-    g[(0,) * N_PARTIES] += -(ineq.lower_bound + ineq.upper_bound) / 2.0
-    return FullCorrelationInequality(g=g, bound=(ineq.upper_bound - ineq.lower_bound) / 2.0)
+    g = np.pad(ineq.g, (0, max(N_SETTINGS - ineq.g.shape[0], 0)))
+    g[(0,) * N_PARTIES] -= (ineq.lower_bound + ineq.upper_bound) / 2.0
+    half_width = (ineq.upper_bound - ineq.lower_bound) / 2.0
+    return Inequality(g, -half_width, half_width)
 
 
 def _delta(*args) -> int:
@@ -171,30 +128,16 @@ class ClassicalStrategy:
         return prod
 
 
-def coefficient_table(ineq: Inequality) -> np.ndarray:
-    """Dense coefficient table g of either form.  A term-list form is
-    lifted over 1 + (largest setting used) settings per party, with no
-    bound shift."""
-    if isinstance(ineq, FullCorrelationInequality):
-        return ineq.g
-    return _lift(ineq.terms, 1 + max((s for t in ineq.terms for s in t.settings
-                                      if s is not None), default=0))
-
-
 def strategy_space(ineq: Inequality) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Dense coefficient table g and the free (party, setting) output slots.
+    """Coefficient table g and the free (party, setting) output slots.
 
-    For the full-correlation form the identity setting 0 is pinned to
-    output +1 (the identity observable forces it) and every other setting
-    is free: 2^9 = 512 strategies.  For a term-list form the free slots
-    are the ones its terms use: 2^6 = 64 for the original inequality.
+    The identity setting 0 is pinned to output +1 (the identity observable
+    forces it) and every other setting of every party is free: a table
+    with n settings per party has 3(n - 1) free slots, 2^6 = 64 strategies
+    for the original inequality and 2^9 = 512 for the homogenized one.
     """
-    if isinstance(ineq, FullCorrelationInequality):
-        free = [(p, s) for p in range(N_PARTIES) for s in range(1, ineq.g.shape[0])]
-    else:
-        free = sorted({(p, s) for t in ineq.terms
-                       for p, s in enumerate(t.settings) if s is not None})
-    return coefficient_table(ineq), free
+    free = [(p, s) for p in range(N_PARTIES) for s in range(1, ineq.g.shape[0])]
+    return ineq.g, free
 
 
 def _sign_rows(rows: np.ndarray, free: list[tuple[int, int]], n_settings: int) -> np.ndarray:
@@ -241,8 +184,8 @@ def search_strategies(
 
 def classical_extrema(ineq: Inequality) -> tuple[float, float, ClassicalStrategy]:
     """Exact extrema of a Bell expression over all deterministic strategies
-    of ``strategy_space(ineq)``: 512 for the full-correlation form, 64 for
-    the original one.  Returns (min, max, argmax) with the argmax
+    of ``strategy_space(ineq)``: 64 for the original form, 512 for the
+    homogenized one.  Returns (min, max, argmax) with the argmax
     tie-broken by the smallest bit encoding.
     """
     return search_strategies(*strategy_space(ineq))[:3]
@@ -343,10 +286,10 @@ def expression_value(g: np.ndarray, corr: np.ndarray) -> float:
 
 
 def quantum_value(ineq: Inequality, rho: np.ndarray, obs: list[list[np.ndarray]]) -> float:
-    """S = sum_x g(x) E(x) over the support of the coefficient table; a
-    term-list inequality is lifted first, so absent parties contribute an
-    identity factor."""
-    return expression_value(coefficient_table(ineq), correlations(born_table(rho, obs)))
+    """S = sum_x g(x) E(x) over the support of the coefficient table; an
+    absent party sits on the identity setting, so contributes an identity
+    factor."""
+    return expression_value(ineq.g, correlations(born_table(rho, obs)))
 
 
 general_quantum_value = quantum_value

@@ -15,14 +15,13 @@ from numbers import Integral
 
 import numpy as np
 
-from .bell import N_PARTIES, N_SETTINGS, ClassicalStrategy, search_strategies
+from .bell import N_PARTIES, ClassicalStrategy, search_strategies
 
 Y_TUPLES = list(itertools.product((-1, 1), repeat=N_PARTIES))
-X_TUPLES = list(itertools.product(range(N_SETTINGS), repeat=N_PARTIES))
 
 
 def input_distribution(g: np.ndarray) -> np.ndarray:
-    """Q(x) = |g(x)| / sum |g| as a 4x4x4 probability table."""
+    """Q(x) = |g(x)| / sum |g| as a probability table of g's shape."""
     g = np.asarray(g, dtype=float)
     total = np.abs(g).sum()
     if total == 0:
@@ -59,9 +58,7 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
     q-supported x of (1/8) * q(x) * f(y,x) * A(y,x)."""
     q = np.asarray(q)
     total = 0.0
-    for x in X_TUPLES:
-        if q[x] == 0:
-            continue
+    for x in map(tuple, np.argwhere(q).tolist()):
         for y in Y_TUPLES:
             inst = GameInstance(y, x)
             total += q[x] * f_func(inst) * a_func(inst) / 2 ** N_PARTIES
@@ -93,7 +90,9 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
     support = np.argwhere(g != 0)
     if support.size == 0:
         raise ValueError("all-zero coefficient table")
-    integral = np.allclose(g, np.round(g))
+    # exact test: a table within rounding of integers is not integral, and
+    # truncating its sums could give a success probability above 1
+    integral = np.array_equal(g, np.round(g))
     sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
 
     live = sorted({(p, int(idx[p])) for idx in support for p in range(N_PARTIES)})
@@ -103,12 +102,11 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
 
 def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:
     """Oracle success probability: weighted average of [A(y,x) == f(y,x)]
-    over all 8 * 64 input pairs.  Must match (1 + (f,A))/2 exactly."""
+    over all sign bits and q-supported setting tuples.  Must match
+    (1 + (f,A))/2 exactly."""
     q = input_distribution(g)
     total = 0.0
-    for x in X_TUPLES:
-        if q[x] == 0:
-            continue
+    for x in map(tuple, np.argwhere(q).tolist()):
         for y in Y_TUPLES:
             inst = GameInstance(y, x)
             if strategy.answer(inst) == target_function(inst, g):

@@ -90,18 +90,18 @@ def cmd_bell_quantum_value(args) -> int:
     s = bell.expression_value(hom.g, corr)
     emit({
         "quantum_value": s,
-        "classical_bound": hom.bound,
-        "violation": s - hom.bound,
-        "original_expression_value": bell.expression_value(
-            bell.coefficient_table(bell.sliwa5()), corr),
+        "classical_bound": hom.upper_bound,
+        "violation": s - hom.upper_bound,
+        "original_expression_value": bell.expression_value(bell.sliwa5().g, corr),
         "correlations": {f"E{x}": float(v) for x, v in zip(support, e)},
     }, args.format)
-    return 0 if s > hom.bound else 1
+    return 0 if s > hom.upper_bound else 1
 
 
 def cmd_bell_coefficients(args) -> int:
     hom = bell.homogenize(bell.sliwa5())
-    print(hom.to_json())
+    print(json.dumps({"n": hom.g.ndim, "settings": hom.g.shape[0], "g": hom.g.tolist(),
+                      "bound": hom.upper_bound}))
     return 0
 
 
@@ -111,7 +111,7 @@ def cmd_game_exact(args) -> int:
     p_q = tables.p_quantum_exact
     emit({
         "sum_abs_g": tables.ineq.sum_abs(),
-        "classical_bound": tables.ineq.bound,
+        "classical_bound": tables.ineq.upper_bound,
         "quantum_value": tables.quantum_value,
         "p_c": float(p_c),
         "p_c_exact": f"{p_c.numerator}/{p_c.denominator}" if isinstance(p_c, Fraction) else p_c,

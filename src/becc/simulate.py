@@ -24,7 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from . import bell, ccp, state
-from .bell import N_PARTIES, OUTCOME_PRODUCT, FullCorrelationInequality
+from .bell import N_PARTIES, OUTCOME_PRODUCT, Inequality
 from .bell import born_distribution  # re-exported: P(a|x) for one setting tuple
 
 # one SeedSequence and generator per shard; the cap keeps a run's set-up bounded
@@ -107,7 +107,7 @@ class GameTables:
     the cells where the guess equals the target.
     """
 
-    def __init__(self, rho=None, obs=None, ineq: FullCorrelationInequality = None):
+    def __init__(self, rho=None, obs=None, ineq: Inequality = None):
         self.rho = state.build_vb_state() if rho is None else rho
         self.obs = bell.measurement_observables() if obs is None else obs
         self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq

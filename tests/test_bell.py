@@ -7,9 +7,7 @@ import pytest
 
 from becc import bell, state
 from becc.bell import (
-    FullCorrelationInequality,
-    GeneralInequality,
-    Term,
+    Inequality,
     classical_extrema,
     correlation,
     g_coefficient,
@@ -18,8 +16,8 @@ from becc.bell import (
     measurement_observables,
     quantum_value,
     sliwa5,
-    symmetrize,
 )
+from becc.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -38,20 +36,20 @@ def hom():
 
 
 class TestSymmetrize:
+    """sliwa5 puts each base term on every permutation of its settings."""
+
     def test_two_party_term(self):
-        orbit = symmetrize(Term((1, 2, None), 1.0))
-        assert len(orbit) == 6
-        settings = {t.settings for t in orbit}
-        assert settings == {(1, 2, None), (1, None, 2), (2, 1, None),
-                            (2, None, 1), (None, 1, 2), (None, 2, 1)}
+        g = sliwa5().g
+        for x in itertools.permutations((1, 2, 0)):
+            assert g[x] == 1
 
     def test_fully_symmetric_term(self):
-        assert len(symmetrize(Term((1, 1, 1), -1.0))) == 1
+        g = sliwa5().g
+        assert g[1, 1, 1] == -1 and g[2, 2, 2] == 1
 
     def test_single_party_term(self):
-        orbit = symmetrize(Term((1, None, None), 1.0))
-        assert {t.settings for t in orbit} == {(1, None, None), (None, 1, None),
-                                               (None, None, 1)}
+        g = sliwa5().g
+        assert g[1, 0, 0] == g[0, 1, 0] == g[0, 0, 1] == 1
 
 
 class TestSliwa5:
@@ -62,30 +60,75 @@ class TestSliwa5:
 
     def test_term_count(self):
         # orbit sizes 3 + 6 + 3 + 1 + 3 + 1
-        assert len(sliwa5().terms) == 17
+        assert sliwa5().g.shape == (3, 3, 3)
+        assert np.count_nonzero(sliwa5().g) == 17
+
+    def test_invariant_under_party_permutations(self):
+        g = sliwa5().g
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(np.transpose(g, perm), g)
+
+
+class TestInequality:
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 2), (2, 2, 2, 2)])
+    def test_rejects_non_cube(self, shape):
+        with pytest.raises(ValueError, match="cube"):
+            Inequality(np.ones(shape), -1, 1)
+
+    def test_rejects_all_zero_table(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            Inequality(np.zeros((2, 2, 2)), -1, 1)
+
+    def test_rejects_crossed_bounds(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            Inequality(np.ones((2, 2, 2)), 1, -1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficient(self, bad):
+        # without the check NaN gave extrema (inf, -inf), inf gave (-inf, inf)
+        g = np.zeros((3, 3, 3))
+        g[1, 1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Inequality(g, -1, 1)
+
+    @pytest.mark.parametrize("lower,upper", [
+        (math.nan, 1), (-1, math.nan), (-math.inf, 1), (-1, math.inf)])
+    def test_rejects_non_finite_bound(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            Inequality(np.ones((2, 2, 2)), lower, upper)
 
 
 class TestHomogenize:
     def test_bound(self, hom):
-        assert hom.bound == 8
+        assert (hom.lower_bound, hom.upper_bound) == (-8, 8)
 
     def test_constant_becomes_identity_coefficient(self, hom):
         assert hom.g[0, 0, 0] == 5
 
     def test_lower_order_term_padded_with_zero(self, hom):
+        assert hom.g.shape == (4, 4, 4)
         assert hom.g[1, 0, 0] == 1
+        assert not np.any(hom.g[3]) and not np.any(hom.g[:, 3]) and not np.any(hom.g[:, :, 3])
+
+    def test_keeps_every_other_entry(self):
+        original = sliwa5()
+        shifted = homogenize(original).g[:3, :3, :3].copy()
+        assert original.g[0, 0, 0] == 0  # the input is not modified
+        shifted[0, 0, 0] = 0
+        assert np.array_equal(shifted, original.g)
 
     def test_sum_abs(self, hom):
         assert hom.sum_abs() == 22
 
-    def test_json_roundtrip(self, hom):
+    def test_json_roundtrip(self, hom, capsys):
         # n and settings are read from g's shape; g and the bound rebuild
         # the inequality
-        doc = json.loads(hom.to_json())
+        assert main(["bell", "coefficients"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["settings"]) == (3, 4)
-        back = FullCorrelationInequality(g=np.array(doc["g"]), bound=doc["bound"])
+        back = Inequality(np.array(doc["g"]), -doc["bound"], doc["bound"])
         assert np.array_equal(back.g, hom.g)
-        assert back.bound == hom.bound
+        assert (back.lower_bound, back.upper_bound) == (hom.lower_bound, hom.upper_bound)
 
 
 class TestGCoefficient:
@@ -125,7 +168,7 @@ class TestClassicalExtrema:
     def test_single_term_inequality(self):
         g = np.zeros((4, 4, 4))
         g[1, 1, 1] = 1.0
-        lo, hi, _ = classical_extrema(FullCorrelationInequality(g=g, bound=1.0))
+        lo, hi, _ = classical_extrema(Inequality(g, -1, 1))
         assert (lo, hi) == (-1, 1)
 
     def test_settings_come_from_g(self):
@@ -133,7 +176,7 @@ class TestClassicalExtrema:
         # reaches both -1 and +1
         g = np.zeros((4, 4, 4))
         g[2, 2, 2] = -1.0
-        lo, hi, _ = classical_extrema(FullCorrelationInequality(g=g, bound=1.0))
+        lo, hi, _ = classical_extrema(Inequality(g, -1, 1))
         assert (lo, hi) == (-1, 1)
 
     def test_all_ones_strategy_attains_bound(self, hom):
@@ -144,13 +187,11 @@ class TestClassicalExtrema:
         assert all(v == 1 for row in argmax.a for v in row)
 
     def test_strategy_space_guard(self):
-        terms = tuple(Term((s, None, None), 1.0) for s in range(1, 10)) \
-            + tuple(Term((None, s, None), 1.0) for s in range(1, 10)) \
-            + tuple(Term((None, None, s), 1.0) for s in range(1, 10))
-        big = GeneralInequality(terms, lower_bound=-27, upper_bound=27)
-        # 27 free (party, setting) pairs -> 2^27 > guard
+        # 10 settings per party -> 27 free (party, setting) pairs -> 2^27 > guard
+        g = np.zeros((10, 10, 10))
+        g[9, 0, 0] = 1.0
         with pytest.raises(ValueError, match="too large"):
-            classical_extrema(big)
+            classical_extrema(Inequality(g, -1, 1))
 
 
 class TestObservables:
@@ -221,5 +262,5 @@ class TestQuantumValue:
 
     def test_bell_violation(self, rho, obs, hom):
         s = quantum_value(hom, rho, obs)
-        assert s - hom.bound == pytest.approx(0.00685, abs=2e-4)
-        assert s > hom.bound
+        assert s - hom.upper_bound == pytest.approx(0.00685, abs=2e-4)
+        assert s > hom.upper_bound

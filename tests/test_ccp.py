@@ -119,6 +119,17 @@ class TestOptimalClassicalStrategy:
         _, success = optimal_classical_strategy(g1)
         assert success == 1
 
+    def test_near_integral_table_stays_a_probability(self):
+        # within np.allclose of integers, but not integral: truncating the
+        # sums to int gave Fraction(5, 4)
+        g1 = np.zeros((4, 4, 4))
+        g1[1, 1, 1] = g1[2, 2, 2] = g1[1, 2, 1] = 0.9999999
+        _, success = optimal_classical_strategy(g1)
+        # all coefficients positive: the all-ones strategy attains sum |g|
+        _, hi_value, _ = bell.classical_extrema(bell.Inequality(g1, -3, 3))
+        assert 0 <= success <= 1
+        assert success == pytest.approx(0.5 * (1 + hi_value / np.abs(g1).sum()), abs=1e-15)
+
     def test_achieved_scalar_product(self, g, q):
         strategy, _ = optimal_classical_strategy(g)
         val = scalar_product(lambda i: target_function(i, g), strategy.answer, q)
@@ -156,5 +167,18 @@ class TestSuccessIdentity:
             strategy = random_strategy(rng)
             direct = success_by_enumeration(strategy, g)
             via_product = 0.5 * (1.0 + scalar_product(f, strategy.answer, q))
+            assert direct == pytest.approx(via_product, abs=1e-12)
+
+    def test_oracles_read_tuples_from_g(self):
+        # the original 3x3x3 table, with no setting 3
+        g3 = bell.sliwa5().g
+        f = lambda inst: target_function(inst, g3)
+        rng = random.Random(5)
+        for _ in range(20):
+            strategy = ClassicalStrategy(tuple(
+                tuple(rng.choice((-1, 1)) for _ in range(3)) for _ in range(3)))
+            direct = success_by_enumeration(strategy, g3)
+            via_product = 0.5 * (1.0 + scalar_product(f, strategy.answer,
+                                                      input_distribution(g3)))
             assert direct == pytest.approx(via_product, abs=1e-12)
 

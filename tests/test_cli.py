@@ -1,6 +1,8 @@
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from becc import bell
@@ -45,23 +47,23 @@ class TestBellCommands:
     @pytest.mark.parametrize("form,n_terms", [
         ("--original", 17), ("--original", 3), ("--homogenized", 17)])
     def test_bounds_count_is_measured(self, capsys, monkeypatch, form, n_terms):
-        # the first 3 terms (A1, B1, C1) leave 3 free slots: a count that is
-        # not measured would still print 64
-        ineq = bell.GeneralInequality(bell.sliwa5().terms[:n_terms], -13.0, 3.0)
-        monkeypatch.setattr(bell, "sliwa5", lambda: ineq)
-        # free slots counted from the inequality: every (party, setting) a
-        # term uses, or every non-identity setting of the homogenized form
-        if form == "--original":
-            n_free = len({(p, s) for t in ineq.terms
-                          for p, s in enumerate(t.settings) if s is not None})
+        # the 3 terms A1 + B1 + C1 on a 2x2x2 table leave 3 free slots: a
+        # count that is not measured would still print 64
+        if n_terms == 3:
+            g = np.zeros((2, 2, 2))
+            g[1, 0, 0] = g[0, 1, 0] = g[0, 0, 1] = 1
+            ineq, expected = bell.Inequality(g, -3, 3), 8
         else:
-            n_free = 3 * (4 - 1)
+            ineq, expected = bell.sliwa5(), 64
+        monkeypatch.setattr(bell, "sliwa5", lambda: ineq)
+        if form == "--homogenized":
+            expected = 512  # every non-identity setting of the 4-setting form
         # small blocks, so the count and the tie-break cross block edges
         monkeypatch.setattr(bell, "STRATEGY_BLOCK", 5)
         code, out = run(capsys, "bell", "bounds", form, "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["strategies_enumerated"] == 2 ** n_free
+        assert doc["strategies_enumerated"] == expected
         assert all(v == 1 for row in doc["argmax_strategy"] for v in row)
 
     def test_quantum_value(self, capsys):
@@ -184,3 +186,23 @@ class TestOutputContract:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# outputs with no timing and no LAPACK-dependent digits; regenerate a file
+# with `becc <argv> > tests/golden/<name>` only when a change of output is meant
+GOLDEN_OUTPUTS = {
+    "bell_bounds_original.json": ("bell", "bounds", "--original", "--format", "json"),
+    "bell_bounds_homogenized.json": ("bell", "bounds", "--homogenized", "--format", "json"),
+    "bell_quantum_value.json": ("bell", "quantum-value", "--format", "json"),
+    "bell_coefficients.json": ("bell", "coefficients"),
+    "game_exact.json": ("game", "exact", "--format", "json"),
+    "reproduce_paper.json": ("reproduce-paper", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_output_matches_golden_file(capsys, name):
+    code, out = run(capsys, *GOLDEN_OUTPUTS[name])
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()

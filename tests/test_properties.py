@@ -10,17 +10,25 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from becc import bell, ccp
-from becc.bell import FullCorrelationInequality, GeneralInequality, Term
 
-SETTINGS = st.integers(0, 3)
-# sparse integer coefficient tables, so that every value is exact
-G_TABLES = st.dictionaries(st.tuples(SETTINGS, SETTINGS, SETTINGS),
+
+def sparse_tables(n_settings):
+    """Sparse integer coefficient tables on n settings per party, so that
+    every value is exact."""
+    settings = st.integers(0, n_settings - 1)
+    return st.dictionaries(st.tuples(settings, settings, settings),
                            st.integers(-3, 3).filter(bool), min_size=1, max_size=10)
-TERMS = st.lists(st.tuples(st.tuples(*[st.none() | st.integers(1, 3)] * 3),
-                           st.integers(-3, 3).filter(bool)), min_size=1, max_size=8)
+
+
+def sized_tables(low, high):
+    """(settings per party, table) for low..high settings per party."""
+    return st.integers(low, high).flatmap(lambda n: st.tuples(st.just(n), sparse_tables(n)))
+
+
+G_TABLES = sparse_tables(4)
 BLOCKS = st.sampled_from([1, 7, 64, bell.STRATEGY_BLOCK])
 
 
@@ -29,6 +37,12 @@ def dense(entries, n_settings=4):
     for x, c in entries.items():
         g[x] += c
     return g
+
+
+def inequality(g):
+    """g with bounds wide enough to be valid whatever its extrema."""
+    total = np.abs(g).sum()
+    return bell.Inequality(g, -total, total)
 
 
 def oracle(entries, free, n_settings=4):
@@ -56,24 +70,21 @@ def rows(strategy):
 def test_full_correlation_extrema_match_oracle(entries, block):
     free = [(p, s) for p in range(3) for s in range(1, 4)]
     with mock.patch.object(bell, "STRATEGY_BLOCK", block):
-        lo, hi, argmax = bell.classical_extrema(FullCorrelationInequality(g=dense(entries)))
+        lo, hi, argmax = bell.classical_extrema(inequality(dense(entries)))
     want_lo, want_hi, want_argmax = oracle(entries, free)
     assert (lo, hi) == (want_lo, want_hi)
     assert rows(argmax) == want_argmax
 
 
 @settings(max_examples=40, deadline=None)
-@given(TERMS, BLOCKS)
-def test_term_list_extrema_match_oracle(term_list, block):
-    ineq = GeneralInequality(tuple(Term(s, float(c)) for s, c in term_list), -100, 100)
-    entries = {}
-    for s, c in term_list:
-        x = tuple(0 if v is None else v for v in s)
-        entries[x] = entries.get(x, 0) + c
-    free = sorted({(p, v) for s, _ in term_list for p, v in enumerate(s) if v is not None})
-    n_settings = 1 + max((v for _, v in free), default=0)
+@given(sized_tables(1, 4), BLOCKS)
+def test_free_slot_rule_matches_oracle(sized, block):
+    # one rule at every table size: setting 0 pinned to +1, every other
+    # setting of every party free
+    n_settings, entries = sized
+    free = [(p, s) for p in range(3) for s in range(1, n_settings)]
     with mock.patch.object(bell, "STRATEGY_BLOCK", block):
-        lo, hi, argmax = bell.classical_extrema(ineq)
+        lo, hi, argmax = bell.classical_extrema(inequality(dense(entries, n_settings)))
     want_lo, want_hi, want_argmax = oracle(entries, free, n_settings)
     assert (lo, hi) == (want_lo, want_hi)
     assert rows(argmax) == want_argmax
@@ -96,7 +107,7 @@ def test_optimal_strategy_matches_oracle(entries):
        st.lists(st.sets(st.integers(1, 3)), min_size=3, max_size=3))
 def test_extrema_invariant_under_relabelling(entries, perm, flips):
     g = dense(entries)
-    lo, hi, _ = bell.classical_extrema(FullCorrelationInequality(g=g))
+    lo, hi, _ = bell.classical_extrema(inequality(g))
     permuted = np.transpose(g, perm)
     # flipping party p's output on setting s negates every g(x) with x_p = s
     relabelled = g.copy()
@@ -106,7 +117,7 @@ def test_extrema_invariant_under_relabelling(entries, perm, flips):
             index[p] = s
             relabelled[tuple(index)] *= -1
     for h in (permuted, relabelled):
-        assert bell.classical_extrema(FullCorrelationInequality(g=h))[:2] == (lo, hi)
+        assert bell.classical_extrema(inequality(h))[:2] == (lo, hi)
 
 
 def ginibre_state(rng):
@@ -140,19 +151,39 @@ def test_born_outputs_on_random_states(seed):
     assert abs(bell.quantum_value(hom, rho, obs)) <= hom.sum_abs()
 
 
+@settings(max_examples=30, deadline=None)
+@given(sized_tables(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_homogenize_centres_extrema_and_shifts_quantum_value(sized, seed):
+    # bounds set to the table's exact extrema (lo, hi): the homogenized
+    # form's extrema are -+(hi - lo)/2, and on any state its value moves by
+    # the shift -(lo + hi)/2 carried by the identity tuple, where E = 1
+    n_settings, entries = sized
+    assume(set(entries) != {(0, 0, 0)})  # a constant homogenizes to zero
+    g = dense(entries, n_settings)
+    lo, hi, _ = bell.classical_extrema(inequality(g))
+    ineq = bell.Inequality(g, lo, hi)
+    hom = bell.homogenize(ineq)
+    assert bell.classical_extrema(hom)[:2] == ((lo - hi) / 2, (hi - lo) / 2)
+    rng = np.random.default_rng(seed)
+    rho = ginibre_state(rng)
+    obs = [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(3)]
+    shift = bell.quantum_value(hom, rho, obs) - bell.quantum_value(ineq, rho, obs)
+    assert shift == pytest.approx(-(lo + hi) / 2, abs=1e-12)
+
+
 def test_large_space_in_bounded_memory():
-    # 20 free slots: single-party terms on settings 1..7, 1..7 and 1..6,
+    # 21 free slots: single-party entries on settings 1..7 of each party,
     # plus a constant, so the extrema are c0 -+ sum |c| and the argmax
     # sets every output to the sign of its coefficient
-    slots = [(0, s) for s in range(1, 8)] + [(1, s) for s in range(1, 8)] \
-        + [(2, s) for s in range(1, 7)]
+    slots = [(p, s) for p in range(3) for s in range(1, 8)]
     coefficients = [(-1) ** k * (k % 3 + 1) for k in range(len(slots))]
-    terms = [Term(tuple(s if q == p else None for q in range(3)), float(c))
-             for (p, s), c in zip(slots, coefficients)]
-    ineq = GeneralInequality(tuple(terms) + (Term((None, None, None), 2.0),), -100, 100)
+    g = np.zeros((8, 8, 8))
+    g[0, 0, 0] = 2.0
+    for (p, s), c in zip(slots, coefficients):
+        g[tuple(s if q == p else 0 for q in range(3))] = c
     tracemalloc.start()
     try:
-        lo, hi, argmax = bell.classical_extrema(ineq)
+        lo, hi, argmax = bell.classical_extrema(inequality(g))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -160,7 +191,7 @@ def test_large_space_in_bounded_memory():
     assert (lo, hi) == (2 - total, 2 + total)
     for (p, s), c in zip(slots, coefficients):
         assert argmax.a[p][s] == math.copysign(1, c)
-    # the whole 2^20 x 3 x 8 sign tensor would take 192 MiB
+    # the whole 2^21 x 3 x 8 sign tensor would take 384 MiB
     assert peak < 16 * 2 ** 20
 
 

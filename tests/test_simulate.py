@@ -117,7 +117,7 @@ class TestTables:
     def test_rejects_setting_without_observable(self, obs):
         g = bell.homogenize(bell.sliwa5()).g.copy()
         g[0, 3, 0] = 1
-        ineq = bell.FullCorrelationInequality(g=g, bound=9)
+        ineq = bell.Inequality(g, -9, 9)
         with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
             GameTables(obs=obs, ineq=ineq)
 
