@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,8 @@ STRATEGY_BLOCK = 4096
 OUTCOME_PRODUCT = np.array([1 - 2 * (bin(o).count("1") % 2) for o in range(2 ** N_PARTIES)])
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", float),
+                                           ("upper_bound", float)])):
     """lower_bound <= sum_x g(x) E(x) <= upper_bound for every classical
     strategy.
 
@@ -39,23 +39,25 @@ class Inequality:
     term without party i sits at x_i = 0 and a constant sits on the
     all-identity tuple.
     """
-    g: np.ndarray = field(repr=False)
-    lower_bound: float
-    upper_bound: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        if self.g.ndim != N_PARTIES or len(set(self.g.shape)) > 1:
+    def __new__(cls, g, lower_bound, upper_bound):
+        g = np.asarray(g)
+        if np.iscomplexobj(g) and g.imag.any():
+            raise ValueError("coefficient table has a non-zero imaginary part")
+        g = np.asarray(g.real, dtype=float)
+        if g.ndim != N_PARTIES or len(set(g.shape)) > 1:
             raise ValueError(f"coefficient table must be a cube with {N_PARTIES} axes, "
-                             f"got shape {self.g.shape}")
-        if not np.all(np.isfinite(self.g)):
+                             f"got shape {g.shape}")
+        if not np.isfinite(g).all():
             raise ValueError("coefficient table has a non-finite entry")
-        if not np.any(self.g):
+        if not g.any():
             raise ValueError("all-zero coefficient table")
-        if not (math.isfinite(self.lower_bound) and math.isfinite(self.upper_bound)):
+        if not (math.isfinite(lower_bound) and math.isfinite(upper_bound)):
             raise ValueError("bounds must be finite")
-        if self.lower_bound > self.upper_bound:
+        if lower_bound > upper_bound:
             raise ValueError("lower bound exceeds upper bound")
+        return super().__new__(cls, g, lower_bound, upper_bound)
 
     def sum_abs(self) -> float:
         return float(np.abs(self.g).sum())
@@ -84,7 +86,8 @@ def homogenize(ineq: Inequality) -> Inequality:
     -(lower + upper)/2 that centres the bounds is added to the
     all-identity tuple.
     """
-    g = np.pad(ineq.g, (0, max(N_SETTINGS - ineq.g.shape[0], 0)))
+    g = np.zeros((max(N_SETTINGS, ineq.g.shape[0]),) * N_PARTIES)
+    g[tuple(map(slice, ineq.g.shape))] = ineq.g
     g[(0,) * N_PARTIES] -= (ineq.lower_bound + ineq.upper_bound) / 2.0
     half_width = (ineq.upper_bound - ineq.lower_bound) / 2.0
     return Inequality(g, -half_width, half_width)
@@ -114,8 +117,7 @@ def g_coefficient(x1: int, x2: int, x3: int) -> float:
 
 # --- classical bounds by deterministic-strategy enumeration ---------------
 
-@dataclass(frozen=True)
-class ClassicalStrategy:
+class ClassicalStrategy(NamedTuple):
     """Deterministic local strategy: party i outputs a[i][x_i] in {-1,+1}
     on setting x_i.  These are the extreme points of the local polytope;
     in the game party i broadcasts s_i = y_i * a_i(x_i)."""
@@ -229,6 +231,9 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     p = np.einsum("xubcef,yveb->xuyvcf", p, p2)
     p = np.einsum("xuyvcf,zwfc->xyzuvw", p, p3)
     p = p.reshape(p.shape[:N_PARTIES] + (-1,))
+    # every guard below is a comparison, which a NaN passes
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite outcome probability: rho has a non-finite entry")
     if np.abs(p.imag).max() > tolerances.FLOAT:
         raise ValueError(f"outcome probability has imaginary part {np.abs(p.imag).max():.3e}")
     p = p.real
@@ -245,7 +250,7 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
 def correlations(pmf: np.ndarray) -> np.ndarray:
     """E(x) = sum_a a1 a2 a3 P(a|x) for every tuple of a Born table."""
     e = pmf @ OUTCOME_PRODUCT
-    if np.abs(e).max() > 1.0 + tolerances.FLOAT:
+    if not np.abs(e).max() <= 1.0 + tolerances.FLOAT:  # a NaN fails this too
         raise ValueError(f"correlation {e.flat[np.abs(e).argmax()]} outside [-1, 1]")
     return e
 
@@ -262,8 +267,14 @@ def _at(table: np.ndarray, x: tuple[int, ...]):
 def on_support(table: np.ndarray, g: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The setting tuples where g is non-zero, in np.argwhere order, and
     the entries of a Born or correlation table at them."""
-    support = list(map(tuple, np.argwhere(g != 0).tolist()))
-    return support, np.array([_at(table, x) for x in support])
+    idx = np.nonzero(g)
+    support = np.transpose(idx)
+    missing = support >= table.shape[:len(idx)]
+    if missing.any():
+        k, party = np.argwhere(missing)[0]
+        raise ValueError(f"setting tuple {tuple(support[k].tolist())}: party {party + 1} "
+                         f"has no observable for setting {support[k, party]}")
+    return list(map(tuple, support.tolist())), table[idx]
 
 
 def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
@@ -281,8 +292,10 @@ def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
 
 def expression_value(g: np.ndarray, corr: np.ndarray) -> float:
     """S = sum_x g(x) E(x) over the support of g, from a correlation table."""
-    support, e = on_support(corr, g)
-    return float(sum(g[x] * v for x, v in zip(support, e)))
+    _, e = on_support(corr, g)
+    # summed left to right in support order, as numpy scalars: np.sum
+    # pairs the terms differently and moves S in the last digits
+    return float(sum(g[g != 0] * e))
 
 
 def quantum_value(ineq: Inequality, rho: np.ndarray, obs: list[list[np.ndarray]]) -> float:

@@ -9,9 +9,9 @@ are exact rationals whenever the coefficient table is integral.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ def input_distribution(g: np.ndarray) -> np.ndarray:
     return np.abs(g) / total
 
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(NamedTuple):
     """One round's inputs: a bit and a setting per party."""
     y: tuple[int, int, int]
     x: tuple[int, int, int]
@@ -95,8 +94,10 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
     integral = np.array_equal(g, np.round(g))
     sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
 
-    live = sorted({(p, int(idx[p])) for idx in support for p in range(N_PARTIES)})
-    _, best, argmax, _ = search_strategies(g, live)
+    # free slots: the (party, setting) pairs the support uses, in row-major order
+    live = np.zeros((N_PARTIES, max(g.shape)), dtype=bool)
+    live[np.arange(N_PARTIES), support] = True
+    _, best, argmax, _ = search_strategies(g, list(map(tuple, np.argwhere(live).tolist())))
     return argmax, success_probability(int(round(best)) if integral else best, sum_abs)
 
 

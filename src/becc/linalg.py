@@ -1,7 +1,8 @@
 """Dense complex linear algebra for few-qubit states.
 
 Everything here works on small (<= 8x8) numpy arrays of complex (or real)
-dtype.  All functions are pure and never mutate their arguments.
+dtype, or on stacks of them along leading axes.  All functions are pure
+and never mutate their arguments.
 """
 from __future__ import annotations
 
@@ -11,10 +12,11 @@ from . import tolerances
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
+    """A square matrix or a stack of them, with finite entries."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -44,10 +46,8 @@ def partial_transpose(m: np.ndarray, party: int, local_dims: list[int]) -> np.nd
     m = _as_square(m)
     dims = list(local_dims)
     n = len(dims)
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ValueError(
-            f"product of local dims {dims} does not match matrix dim {m.shape[0]}"
-        )
+    if m.shape != (int(np.prod(dims)),) * 2:
+        raise ValueError(f"local dims {dims} do not match a matrix of shape {m.shape}")
     if not 1 <= party <= n:
         raise ValueError(f"party index {party} out of range 1..{n}")
     t = m.reshape(dims + dims)
@@ -58,18 +58,18 @@ def partial_transpose(m: np.ndarray, party: int, local_dims: list[int]) -> np.nd
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:
-    """Max entry-wise |m - m^dagger|."""
+    """Max entry-wise |m - m^dagger|, over every matrix of a stack."""
     m = _as_square(m)
-    return float(np.abs(m - m.conj().T).max())
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = tolerances.FLOAT) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
+    """All eigenvalues of a Hermitian matrix, ascending; of a stack, one
+    ascending row per matrix, each as the matrix alone would give it.
 
     Rejects matrices that are not Hermitian within ``tol``; a violation
     here almost always means a construction bug upstream.
     """
-    m = _as_square(m)
     dev = hermiticity_deviation(m)
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

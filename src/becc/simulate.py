@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, asdict
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,32 +33,28 @@ MAX_SHARDS = 1024
 MAX_SHOTS = 2 ** 63 - 1
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(NamedTuple("SimulationConfig", [("shots", int), ("seed", int),
+                                                     ("protocol", str), ("shards", int)])):
     """The inputs of one run, and the one place their limits are checked."""
-    shots: int
-    seed: int = 0
-    protocol: str = "quantum"
-    shards: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("shots", "seed", "shards"):
-            value = getattr(self, name)
+    def __new__(cls, shots, seed=0, protocol="quantum", shards=1):
+        for name, value in (("shots", shots), ("seed", seed), ("shards", shards)):
             if not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {self.shots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.shards <= min(self.shots, MAX_SHARDS):
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if not 1 <= shards <= min(shots, MAX_SHARDS):
             raise ValueError(f"shards must be in [1, min(shots, {MAX_SHARDS})], "
-                             f"got {self.shards}")
-        if self.protocol not in ("classical", "quantum"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+                             f"got {shards}")
+        if protocol not in ("classical", "quantum"):
+            raise ValueError(f"unknown protocol {protocol!r}")
+        return super().__new__(cls, shots, seed, protocol, shards)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     protocol: str
     shots: int
     successes: int
@@ -69,14 +65,13 @@ class SimulationReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
         d["p_hat"] = d.pop("empirical_probability")
         d["stderr"] = d.pop("standard_error")
         return d
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Quantum simulation measured against the exact classical optimum."""
     simulation: SimulationReport
     p_classical_exact: float
@@ -86,15 +81,8 @@ class GapReport:
     underpowered: bool
 
     def to_dict(self) -> dict:
-        d = self.simulation.to_dict()
-        d.update(
-            p_classical_exact=self.p_classical_exact,
-            p_quantum_exact=self.p_quantum_exact,
-            exact_gap=self.exact_gap,
-            z_vs_classical=self.z_vs_classical,
-            underpowered=self.underpowered,
-        )
-        return d
+        d = self._asdict()
+        return {**d.pop("simulation").to_dict(), **d}
 
 
 class GameTables:
@@ -113,18 +101,18 @@ class GameTables:
         self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq
 
         g = self.ineq.g
-        q = ccp.input_distribution(g)
         # one Born contraction gives both the outcome tables and S
         born = bell.born_table(self.rho, self.obs)
         self.support, quantum_pmf = bell.on_support(born, g)
-        self.q_support = np.array([q[x] for x in self.support])
-        self.target_sign = np.array([1 if g[x] > 0 else -1 for x in self.support])
+        idx = np.nonzero(g)  # the support as index arrays, in the same order
+        self.q_support = ccp.input_distribution(g)[idx]
+        self.target_sign = np.where(g[idx] > 0, 1, -1)
         self.win = OUTCOME_PRODUCT == self.target_sign[:, None]
 
         strategy, self.p_classical_exact = ccp.optimal_classical_strategy(g)
         # outcome index of the strategy's answers: bit set where a_i = -1
-        answer = [sum(int(strategy.a[p][s] < 0) << (N_PARTIES - 1 - p)
-                      for p, s in enumerate(x)) for x in self.support]
+        negative = np.array(strategy.a)[np.arange(N_PARTIES)[:, None], np.array(idx)] < 0
+        answer = (1 << np.arange(N_PARTIES)[::-1]) @ negative
         self.outcome_pmf = {
             "quantum": quantum_pmf,
             "classical": np.eye(len(OUTCOME_PRODUCT))[answer],

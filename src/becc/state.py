@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ PURE_STATE_AMPLITUDES = (
 )
 
 
-@dataclass(frozen=True)
-class StateReport:
+class StateReport(NamedTuple):
     """Numerical certificates of the built-in state."""
     trace_deviation: float
     hermiticity_deviation: float
@@ -43,7 +42,7 @@ class StateReport:
     pt_min_eigenvalues: tuple[float, float, float]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _check_transcription() -> None:
@@ -71,30 +70,29 @@ def build_vb_state() -> np.ndarray:
 
 
 def validate_state(rho: np.ndarray) -> StateReport:
-    """Measure every checkable certificate of a candidate 3-qubit state."""
+    """Measure every checkable certificate of a candidate 3-qubit state;
+    rho and its three partial transposes are checked and diagonalized as
+    one stack."""
     rho = np.asarray(rho)
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {rho.shape}")
 
-    # reorder the parties of both the row and the column index: axis k of
-    # the result is axis p[k] of t
+    # as (2,)*6, axes k and 3 + k are the row and column index of party k
     t = rho.reshape((2,) * 6)
-    perm_dev = max(float(np.abs(t.transpose(p + tuple(3 + i for i in p)) - t).max())
-                   for p in itertools.permutations(range(3)))
-
-    pt_eigs = []
-    for party in (1, 2, 3):
-        pt = linalg.partial_transpose(rho, party, [2, 2, 2])
-        pt_eigs.append(float(linalg.hermitian_eigenvalues(pt)[0]))
-    pt3 = linalg.partial_transpose(rho, 3, [2, 2, 2])
+    stack = np.stack([t] + [t.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
+    eigs = linalg.hermitian_eigenvalues(stack)
+    # reorder the parties of both the row and the column index: axis k of
+    # a permuted copy is axis p[k] of t
+    permuted = np.stack([t.transpose(p + tuple(3 + i for i in p))
+                         for p in itertools.permutations(range(3))])
 
     return StateReport(
         trace_deviation=abs(float(np.trace(rho).real) - 1.0),
         hermiticity_deviation=linalg.hermiticity_deviation(rho),
-        min_eigenvalue=float(linalg.hermitian_eigenvalues(rho)[0]),
-        permutation_symmetry_deviation=perm_dev,
-        pt_invariance_deviation=float(np.abs(pt3 - rho).max()),
-        pt_min_eigenvalues=tuple(pt_eigs),
+        min_eigenvalue=float(eigs[0, 0]),
+        permutation_symmetry_deviation=float(np.abs(permuted - t).max()),
+        pt_invariance_deviation=float(np.abs(stack[3] - rho).max()),
+        pt_min_eigenvalues=tuple(eigs[1:, 0].tolist()),
     )
 
 

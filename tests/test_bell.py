@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from becc import bell, state
+from becc import bell, simulate, state
 from becc.bell import (
     Inequality,
     classical_extrema,
@@ -96,6 +96,17 @@ class TestInequality:
     def test_rejects_non_finite_bound(self, lower, upper):
         with pytest.raises(ValueError, match="finite"):
             Inequality(np.ones((2, 2, 2)), lower, upper)
+
+    def test_rejects_complex_table(self):
+        # numpy dropped the imaginary part with only a ComplexWarning
+        g = np.ones((2, 2, 2), dtype=complex)
+        g[1, 1, 1] = 1 + 1e-3j
+        with pytest.raises(ValueError, match="imaginary"):
+            Inequality(g, -8, 8)
+
+    def test_accepts_complex_table_with_zero_imaginary_part(self):
+        ineq = Inequality(np.ones((2, 2, 2)) + 0j, -8, 8)
+        assert ineq.g.dtype == float and np.array_equal(ineq.g, np.ones((2, 2, 2)))
 
 
 class TestHomogenize:
@@ -243,6 +254,23 @@ class TestBornTable:
     def test_rejects_invalid_state(self, obs, bad_rho, match):
         with pytest.raises(ValueError, match=match):
             bell.born_table(bad_rho, obs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("consumer", ["born_table", "quantum_value", "GameTables"])
+    def test_rejects_non_finite_state(self, obs, hom, bad, consumer):
+        # every other guard is a comparison, which a NaN passes: a NaN state
+        # gave p_quantum_exact = nan with no error
+        rho = np.eye(8) / 8
+        rho[3, 3] = bad
+        call = {"born_table": lambda: bell.born_table(rho, obs),
+                "quantum_value": lambda: bell.quantum_value(hom, rho, obs),
+                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs)}[consumer]
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+    def test_correlations_reject_nan(self):
+        with pytest.raises(ValueError, match="outside"):
+            bell.correlations(np.full((3, 3, 3, 8), math.nan))
 
 
 class TestQuantumValue:

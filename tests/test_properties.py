@@ -1,10 +1,13 @@
-"""Properties of the strategy search, the Born contraction and the success
-probabilities, checked on random inputs against oracles written here: a
-plain itertools.product enumeration for the classical side, the
-kron-and-trace formula for the quantum side."""
+"""Properties of the strategy search, the Born contraction, the state
+certificates, the game tables and the success probabilities, checked on
+random inputs against oracles written here: a plain itertools.product
+enumeration for the classical side, the kron-and-trace formula for the
+quantum side, and one-matrix and one-tuple loops for the stacked and
+gathered arrays."""
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from becc import bell, ccp
+from becc import bell, ccp, linalg, simulate, state
 
 
 def sparse_tables(n_settings):
@@ -149,6 +152,83 @@ def test_born_outputs_on_random_states(seed):
         assert np.array_equal(bell.born_distribution(rho, obs, x), table[x])
     hom = bell.homogenize(bell.sliwa5())
     assert abs(bell.quantum_value(hom, rho, obs)) <= hom.sum_abs()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_stacked_certificates_match_one_matrix_oracle(seed, real):
+    # validate_state diagonalizes rho and its three partial transposes as
+    # one stack; each must equal what that matrix alone gives, bit for bit
+    rho = ginibre_state(np.random.default_rng(seed))
+    if real:
+        rho = rho.real
+    report = state.validate_state(rho)
+    pts = [linalg.partial_transpose(rho, party, [2, 2, 2]) for party in (1, 2, 3)]
+    assert report.min_eigenvalue == float(np.linalg.eigvalsh(rho)[0])
+    assert report.pt_min_eigenvalues == tuple(float(np.linalg.eigvalsh(m)[0]) for m in pts)
+    assert report.pt_invariance_deviation == float(np.abs(pts[2] - rho).max())
+    assert report.hermiticity_deviation == float(np.abs(rho - rho.conj().T).max())
+    assert report.trace_deviation == abs(float(np.trace(rho).real) - 1.0)
+    stacked = linalg.hermitian_eigenvalues(np.stack([rho, *pts]))
+    for row, m in zip(stacked, [rho, *pts]):
+        assert np.array_equal(row, np.linalg.eigvalsh(m))
+
+
+@pytest.mark.parametrize("entry,match", [
+    (math.nan, "non-finite"), (math.inf, "non-finite"), (-math.inf, "non-finite"),
+    (1e-3, "not Hermitian"), (1e-3j, "not Hermitian")])
+def test_stacked_certificates_reject_bad_state(entry, match):
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 5] += entry
+    with pytest.raises(ValueError, match=match):
+        state.validate_state(rho)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 8, 8), (64,), (8, 4)])
+def test_certificates_need_one_8x8_matrix(shape):
+    with pytest.raises(ValueError, match="8x8"):
+        state.validate_state(np.zeros(shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_tables(3), st.integers(0, 2 ** 32 - 1))
+def test_game_tables_match_per_tuple_oracle(entries, seed):
+    # the gathered arrays of GameTables against one loop over the support
+    g = dense(entries, 3)
+    rng = np.random.default_rng(seed)
+    rho = ginibre_state(rng)
+    obs = [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(3)]
+    tables = simulate.GameTables(rho=rho, obs=obs, ineq=inequality(g))
+    born = bell.born_table(rho, obs)
+    corr = bell.correlations(born)
+    strategy, _ = ccp.optimal_classical_strategy(g)
+    support = [x for x in itertools.product(range(3), repeat=3) if g[x] != 0]
+    assert tables.support == support
+    q = ccp.input_distribution(g)
+    assert np.array_equal(tables.q_support, [q[x] for x in support])
+    signs = [1 if g[x] > 0 else -1 for x in support]
+    assert np.array_equal(tables.target_sign, signs)
+    for k, (x, sign) in enumerate(zip(support, signs)):
+        for a, bits in enumerate(itertools.product((0, 1), repeat=3)):
+            assert tables.win[k, a] == (math.prod(1 - 2 * b for b in bits) == sign)
+        assert np.array_equal(tables.outcome_pmf["quantum"][k], born[x])
+        answer = tuple(int(strategy.a[p][x[p]] < 0) for p in range(3))
+        one_hot = np.zeros(8)
+        one_hot[list(itertools.product((0, 1), repeat=3)).index(answer)] = 1.0
+        assert np.array_equal(tables.outcome_pmf["classical"][k], one_hot)
+    terms = [g[x] * corr[x] for x in support]
+    assert tables.quantum_value == float(sum(terms))  # left to right, as numpy scalars
+
+
+def test_becc_deprecation_warning_is_an_error():
+    # pyproject's filterwarnings exempts only libcst's mypy_extensions
+    # warning, which hypothesis triggers while reporting a failing example
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("old call", DeprecationWarning, bell.__file__, 1,
+                               module="becc.bell")
+    warnings.warn_explicit("mypy_extensions.TypedDict is deprecated, and will be removed",
+                           DeprecationWarning, "type_inference_provider.py", 19,
+                           module="libcst.metadata.type_inference_provider")
 
 
 @settings(max_examples=30, deadline=None)
