@@ -59,6 +59,8 @@ class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", fl
             raise ValueError("lower bound exceeds upper bound")
         return super().__new__(cls, g, lower_bound, upper_bound)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
     def sum_abs(self) -> float:
         return float(np.abs(self.g).sum())
 
@@ -293,8 +295,7 @@ def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
 def expression_value(g: np.ndarray, corr: np.ndarray) -> float:
     """S = sum_x g(x) E(x) over the support of g, from a correlation table."""
     _, e = on_support(corr, g)
-    # summed left to right in support order, as numpy scalars: np.sum
-    # pairs the terms differently and moves S in the last digits
+    # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
     return float(sum(g[g != 0] * e))
 
 

@@ -12,7 +12,6 @@ from . import tolerances
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
-    """A square matrix or a stack of them, with finite entries."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")

@@ -53,6 +53,8 @@ class SimulationConfig(NamedTuple("SimulationConfig", [("shots", int), ("seed", 
             raise ValueError(f"unknown protocol {protocol!r}")
         return super().__new__(cls, shots, seed, protocol, shards)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
 
 class SimulationReport(NamedTuple):
     protocol: str

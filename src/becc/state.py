@@ -71,8 +71,7 @@ def build_vb_state() -> np.ndarray:
 
 def validate_state(rho: np.ndarray) -> StateReport:
     """Measure every checkable certificate of a candidate 3-qubit state;
-    rho and its three partial transposes are checked and diagonalized as
-    one stack."""
+    rho and its partial transposes are diagonalized as one stack."""
     rho = np.asarray(rho)
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {rho.shape}")
@@ -81,8 +80,7 @@ def validate_state(rho: np.ndarray) -> StateReport:
     t = rho.reshape((2,) * 6)
     stack = np.stack([t] + [t.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
     eigs = linalg.hermitian_eigenvalues(stack)
-    # reorder the parties of both the row and the column index: axis k of
-    # a permuted copy is axis p[k] of t
+    # each party permutation p reorders the row and the column axes alike
     permuted = np.stack([t.transpose(p + tuple(3 + i for i in p))
                          for p in itertools.permutations(range(3))])
 

@@ -44,6 +44,9 @@ G = np.ones((2, 2, 2))
     lambda: simulate.SimulationConfig(shots=0),
     lambda: simulate.SimulationConfig(10, 0, "quantum", 11),
     lambda: simulate.SimulationConfig(shots=10, shards=11),
+    lambda: simulate.SimulationConfig(10)._replace(protocol="psychic"),
+    lambda: bell.Inequality(G, -1, 1)._replace(lower_bound=2),
+    lambda: bell.Inequality(G, -1, 1)._replace(g=np.full((2, 2, 2), np.nan)),
 ])
 def test_every_construction_validates(build):
     with pytest.raises(ValueError):
