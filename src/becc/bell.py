@@ -1,11 +1,11 @@
-"""Three-party Bell inequality machinery.
+"""Bell inequality machinery for any number of parties.
 
 An inequality is one dense coefficient table g with an axis per party,
-setting 0 being the identity, and two-sided classical bounds.  Covers the
-original 2-setting inequality (Sliwa's #5), its homogenized
-full-correlation form, classical bounds by exhaustive enumeration of
-deterministic local strategies, and Born probabilities and quantum
-values from a shared state and measurement observables.
+setting 0 being the identity, and two-sided classical bounds.  Covers
+classical bounds by exhaustive enumeration of deterministic local
+strategies, Born probabilities and quantum values from a shared state
+and one observable list per party, and the built-in three-party game:
+Sliwa's inequality #5, its homogenized form and the paper's observables.
 """
 from __future__ import annotations
 
@@ -17,17 +17,38 @@ import numpy as np
 
 from . import tolerances
 
-N_PARTIES = 3
 N_SETTINGS = 4  # homogenized form: settings 0..3 (0 = identity, 3 = unused)
 
 MAX_STRATEGY_SPACE = 2 ** 24
-# strategies contracted with g at once, so that peak memory does not grow
-# with the size of the strategy space
-STRATEGY_BLOCK = 4096
+# rows of a block follow from g's shape: its first contraction with g has
+# at most this many entries, so peak memory grows neither with the size of
+# the strategy space nor with the number of parties
+STRATEGY_BLOCK = 2 ** 16
 
-# outcome triple (a1,a2,a3) encoded as a 3-bit index, bit=1 meaning a=-1,
-# party 1 most significant (same convention as the state's basis index)
-OUTCOME_PRODUCT = np.array([1 - 2 * (bin(o).count("1") % 2) for o in range(2 ** N_PARTIES)])
+
+def outcome_signs(n_parties: int) -> np.ndarray:
+    """Outcomes a_i in {-1,+1} of every n-bit outcome index, shape
+    (2^n, n): bit 1 means a = -1, party 1 most significant (the order of
+    the state's basis index and of born_table's outcome axis)."""
+    bits = (np.arange(2 ** n_parties)[:, None] >> np.arange(n_parties)[::-1]) & 1
+    return 1 - 2 * bits
+
+
+def coefficient_table(g) -> np.ndarray:
+    """g as a real float cube with one axis per party, finite and not all
+    zero; anything else raises ValueError."""
+    g = np.asarray(g)
+    if np.iscomplexobj(g) and g.imag.any():
+        raise ValueError("coefficient table has a non-zero imaginary part")
+    g = np.asarray(g.real, dtype=float)
+    if g.ndim == 0 or len(set(g.shape)) > 1:
+        raise ValueError(f"coefficient table must be a cube with an axis per party, "
+                         f"got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("coefficient table has a non-finite entry")
+    if not g.any():
+        raise ValueError("all-zero coefficient table")
+    return g
 
 
 class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", float),
@@ -42,17 +63,7 @@ class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", fl
     __slots__ = ()
 
     def __new__(cls, g, lower_bound, upper_bound):
-        g = np.asarray(g)
-        if np.iscomplexobj(g) and g.imag.any():
-            raise ValueError("coefficient table has a non-zero imaginary part")
-        g = np.asarray(g.real, dtype=float)
-        if g.ndim != N_PARTIES or len(set(g.shape)) > 1:
-            raise ValueError(f"coefficient table must be a cube with {N_PARTIES} axes, "
-                             f"got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("coefficient table has a non-finite entry")
-        if not g.any():
-            raise ValueError("all-zero coefficient table")
+        g = coefficient_table(g)
         if not (math.isfinite(lower_bound) and math.isfinite(upper_bound)):
             raise ValueError("bounds must be finite")
         if lower_bound > upper_bound:
@@ -74,7 +85,7 @@ _SLIWA5_BASE = {(1, 0, 0): 1.0, (1, 2, 0): 1.0, (2, 2, 0): -1.0,
 def sliwa5() -> Inequality:
     """The original two-setting inequality, symmetrized over the parties:
     each base term on every permutation of its settings (17 entries)."""
-    g = np.zeros((3,) * N_PARTIES)
+    g = np.zeros((3, 3, 3))
     for x, c in _SLIWA5_BASE.items():
         for y in set(itertools.permutations(x)):
             g[y] += c
@@ -88,9 +99,9 @@ def homogenize(ineq: Inequality) -> Inequality:
     -(lower + upper)/2 that centres the bounds is added to the
     all-identity tuple.
     """
-    g = np.zeros((max(N_SETTINGS, ineq.g.shape[0]),) * N_PARTIES)
+    g = np.zeros((max(N_SETTINGS, ineq.g.shape[0]),) * ineq.g.ndim)
     g[tuple(map(slice, ineq.g.shape))] = ineq.g
-    g[(0,) * N_PARTIES] -= (ineq.lower_bound + ineq.upper_bound) / 2.0
+    g[(0,) * g.ndim] -= (ineq.lower_bound + ineq.upper_bound) / 2.0
     half_width = (ineq.upper_bound - ineq.lower_bound) / 2.0
     return Inequality(g, -half_width, half_width)
 
@@ -126,64 +137,57 @@ class ClassicalStrategy(NamedTuple):
     a: tuple[tuple[int, ...], ...]
 
     def answer(self, inst) -> int:
-        prod = 1
-        for i in range(N_PARTIES):
-            prod *= inst.y[i] * self.a[i][inst.x[i]]
-        return prod
+        return math.prod(y * a[x] for y, a, x in zip(inst.y, self.a, inst.x))
 
 
 def strategy_space(ineq: Inequality) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Coefficient table g and the free (party, setting) output slots.
 
     The identity setting 0 is pinned to output +1 (the identity observable
-    forces it) and every other setting of every party is free: a table
-    with n settings per party has 3(n - 1) free slots, 2^6 = 64 strategies
+    forces it) and every other setting of every party is free: n parties
+    with s settings each have n(s - 1) free slots, 2^6 = 64 strategies
     for the original inequality and 2^9 = 512 for the homogenized one.
     """
-    free = [(p, s) for p in range(N_PARTIES) for s in range(1, ineq.g.shape[0])]
+    free = [(p, s) for p in range(ineq.g.ndim) for s in range(1, ineq.g.shape[0])]
     return ineq.g, free
-
-
-def _sign_rows(rows: np.ndarray, free: list[tuple[int, int]], n_settings: int) -> np.ndarray:
-    """Strategies as a (len(rows), parties, settings) +-1 tensor.  Row n
-    puts bit j of n on free slot j, bit 0 meaning +1, so row 0 is the
-    all-ones strategy; every other slot stays +1."""
-    signs = np.ones((len(rows), N_PARTIES, n_settings))
-    parties, settings = np.array(free, dtype=int).reshape(-1, 2).T
-    bits = (rows[:, None] >> np.arange(len(free))) & 1
-    signs[:, parties, settings] = 1 - 2 * bits
-    return signs
 
 
 def search_strategies(
     g: np.ndarray, free: list[tuple[int, int]],
 ) -> tuple[float, float, ClassicalStrategy, int]:
-    """Exact extrema of sum_x g(x) a_1(x_1) a_2(x_2) a_3(x_3) over the
+    """Exact extrema of sum_x g(x) a_1(x_1) ... a_n(x_n) over the
     2^len(free) deterministic strategies that vary the ``free`` slots.
 
-    Returns (min, max, argmax, number of strategies contracted).  The
-    strategies are contracted with g one party at a time (last party
-    first), in blocks of STRATEGY_BLOCK rows.  The argmax is the smallest
-    row that attains the maximum, across blocks as within one.
+    Returns (min, max, argmax, number of strategies contracted).  Row r
+    puts bit j of r on free slot j, bit 0 meaning +1, so row 0 is the
+    all-ones strategy; every other slot stays +1.  The rows are contracted
+    with g one party at a time (last party first), in blocks whose first
+    contraction has at most STRATEGY_BLOCK entries (one row if a single
+    row has more).  The argmax is the smallest row that attains the
+    maximum, across blocks as within one.
     """
     if 2 ** len(free) > MAX_STRATEGY_SPACE:
         raise ValueError(f"strategy space 2^{len(free)} too large to enumerate")
     g = np.asarray(g, dtype=float)
     n_settings = g.shape[0]
-    low, high, best, enumerated = math.inf, -math.inf, 0, 0
-    for start in range(0, 2 ** len(free), STRATEGY_BLOCK):
-        rows = np.arange(start, min(start + STRATEGY_BLOCK, 2 ** len(free)))
-        signs = _sign_rows(rows, free, n_settings)
-        v = signs[:, 2] @ g.reshape(-1, n_settings).T
-        v = np.einsum("nij,nj->ni", v.reshape(len(rows), n_settings, n_settings), signs[:, 1])
-        values = np.einsum("ni,ni->n", v, signs[:, 0])
+    parties, settings = np.array(free, dtype=int).reshape(-1, 2).T
+    block = max(1, STRATEGY_BLOCK * n_settings // g.size)
+    low, high, best, enumerated = math.inf, -math.inf, None, 0
+    for start in range(0, 2 ** len(free), block):
+        rows = np.arange(start, min(start + block, 2 ** len(free)))
+        # the block's strategies as a (rows, parties, settings) +-1 tensor
+        signs = np.ones((len(rows), g.ndim, n_settings))
+        signs[:, parties, settings] = 1 - 2 * ((rows[:, None] >> np.arange(len(free))) & 1)
+        v = signs[:, -1] @ g.reshape(-1, n_settings).T
+        for party in range(g.ndim - 2, -1, -1):
+            v = np.einsum("nij,nj->ni", v.reshape(len(rows), -1, n_settings), signs[:, party])
+        values = v[:, 0]
         k = int(np.argmax(values))
         if values[k] > high:  # strict: an earlier block keeps a tie
-            high, best = float(values[k]), start + k
+            high, best = float(values[k]), signs[k].astype(int).tolist()
         low = min(low, float(values.min()))
         enumerated += len(rows)
-    row = _sign_rows(np.array([best]), free, n_settings)[0].astype(int).tolist()
-    return low, high, ClassicalStrategy(tuple(map(tuple, row))), enumerated
+    return low, high, ClassicalStrategy(tuple(map(tuple, best))), enumerated
 
 
 def classical_extrema(ineq: Inequality) -> tuple[float, float, ClassicalStrategy]:
@@ -208,31 +212,39 @@ def measurement_observables() -> list[list[np.ndarray]]:
     o1 = np.array([[c1, s1], [s1, -c1]])
     o2 = np.array([[s2, -c2], [-c2, -s2]])
     per_party = [np.eye(2), o1, o2]
-    return [list(per_party) for _ in range(N_PARTIES)]
+    return [list(per_party) for _ in range(3)]
+
+
+# a1 a2 a3 for each outcome index of the built-in game
+OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
 def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """Joint outcome distributions P(a1,a2,a3 | x) of projective
-    measurements on rho, for every setting tuple x with observables.
+    """Joint outcome distributions P(a_1..a_n | x) of projective
+    measurements on an n-qubit rho, one observable list per party, for
+    every setting tuple x with observables.
 
-    Shape (settings of party 1, of party 2, of party 3, 8), outcomes in
-    the 3-bit encoding of OUTCOME_PRODUCT.  Observable O has projectors
+    Shape (settings of party 1, ..., of party n, 2^n), outcomes in the
+    n-bit encoding of outcome_signs.  Observable O has projectors
     (I + O)/2 and (I - O)/2 for outcomes +1 and -1, so the identity
-    setting gives +1 with certainty.  rho, reshaped to (2,)*6, is
+    setting gives +1 with certainty.  rho, reshaped to (2,)*2n, is
     contracted with each party's (settings, 2 outcomes, 2, 2) projector
     stack in turn.  Probabilities within NEGATIVITY below zero are
     clamped and each distribution renormalized; a more negative one, an
     imaginary part or a deviation of a sum from 1 beyond FLOAT is an error.
     """
-    eye = np.eye(2)
-    p1, p2, p3 = (np.stack([(eye + o) / 2, (eye - o) / 2], axis=1)
-                  for o in map(np.array, obs))
-    # rho[i1 i2 i3, j1 j2 j3] times Pi[j, i] summed over i, j, one party
-    # at a time: trace(rho Pi1 (x) Pi2 (x) Pi3) for every (x, a)
-    p = np.einsum("abcdef,xuda->xubcef", np.asarray(rho).reshape((2,) * 6), p1)
-    p = np.einsum("xubcef,yveb->xuyvcf", p, p2)
-    p = np.einsum("xuyvcf,zwfc->xyzuvw", p, p3)
-    p = p.reshape(p.shape[:N_PARTIES] + (-1,))
+    n, eye = len(obs), np.eye(2)
+    p = np.asarray(rho).reshape((2,) * 2 * n)
+    # trace(rho Pi_1 (x) ... (x) Pi_n) for every (x, a), one party at a time;
+    # labels: party k's row and column axes k and n + k (as in rho), its
+    # setting and outcome axes 2n + 2k and 2n + 2k + 1
+    for k, o in enumerate(map(np.array, obs)):
+        stack = np.stack([(eye + o) / 2, (eye - o) / 2], axis=1)
+        measured = list(range(2 * n, 2 * n + 2 * k + 2))
+        rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
+        out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
+        p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
+    p = p.reshape(p.shape[:n] + (-1,))
     # every guard below is a comparison, which a NaN passes
     if not np.isfinite(p).all():
         raise ValueError("non-finite outcome probability: rho has a non-finite entry")
@@ -250,8 +262,8 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
 
 
 def correlations(pmf: np.ndarray) -> np.ndarray:
-    """E(x) = sum_a a1 a2 a3 P(a|x) for every tuple of a Born table."""
-    e = pmf @ OUTCOME_PRODUCT
+    """E(x) = sum_a a_1 ... a_n P(a|x) for every tuple of a Born table."""
+    e = pmf @ outcome_signs(pmf.ndim - 1).prod(axis=1)
     if not np.abs(e).max() <= 1.0 + tolerances.FLOAT:  # a NaN fails this too
         raise ValueError(f"correlation {e.flat[np.abs(e).argmax()]} outside [-1, 1]")
     return e
@@ -280,20 +292,22 @@ def on_support(table: np.ndarray, g: np.ndarray) -> tuple[list[tuple[int, ...]],
 
 
 def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
-                      x: tuple[int, int, int]) -> np.ndarray:
-    """P(a1,a2,a3 | x) for one setting tuple: its row of born_table."""
+                      x: tuple[int, ...]) -> np.ndarray:
+    """P(a | x) for one setting tuple: its row of born_table."""
     return _at(born_table(rho, obs), x)
 
 
 def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
-                x: tuple[int, int, int]) -> float:
-    """E(x) = trace(rho * O_{x1} (x) O_{x2} (x) O_{x3}) for one setting
+                x: tuple[int, ...]) -> float:
+    """E(x) = trace(rho * O_{x_1} (x) ... (x) O_{x_n}) for one setting
     tuple, read from the Born table."""
     return float(_at(correlations(born_table(rho, obs)), x))
 
 
 def expression_value(g: np.ndarray, corr: np.ndarray) -> float:
     """S = sum_x g(x) E(x) over the support of g, from a correlation table."""
+    if corr.ndim != g.ndim:
+        raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
     _, e = on_support(corr, g)
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
     return float(sum(g[g != 0] * e))

@@ -1,47 +1,44 @@
 """The communication complexity game built on a full-correlation inequality.
 
-Inputs: each party i gets a uniform bit y_i in {-1,+1} and a setting x_i,
-with the setting tuple drawn from Q(x) = |g(x)| / sum|g|.  The common
-target is f = y1*y2*y3*sign(g(x)).  Each party broadcasts one bit and the
-guess is the product of the broadcasts.  Classical success probabilities
-are exact rationals whenever the coefficient table is integral.
+Inputs: each of the g.ndim parties gets a uniform bit y_i in {-1,+1} and
+a setting x_i, with x drawn from Q(x) = |g(x)| / sum|g|.  The common
+target is f = y_1...y_n sign(g(x)).  Each party broadcasts one bit; the
+guess, their product, is right with P = (1 + S/sum|g|)/2 for a strategy
+of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  Classical
+success probabilities are exact rationals for an integral table.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .bell import N_PARTIES, ClassicalStrategy, search_strategies
-
-Y_TUPLES = list(itertools.product((-1, 1), repeat=N_PARTIES))
+from .bell import ClassicalStrategy, coefficient_table, search_strategies
 
 
 def input_distribution(g: np.ndarray) -> np.ndarray:
     """Q(x) = |g(x)| / sum |g| as a probability table of g's shape."""
-    g = np.asarray(g, dtype=float)
-    total = np.abs(g).sum()
-    if total == 0:
-        raise ValueError("all-zero coefficient table has no input distribution")
-    return np.abs(g) / total
+    g = np.abs(coefficient_table(g))
+    return g / g.sum()
 
 
 class GameInstance(NamedTuple):
     """One round's inputs: a bit and a setting per party."""
-    y: tuple[int, int, int]
-    x: tuple[int, int, int]
+    y: tuple[int, ...]
+    x: tuple[int, ...]
 
 
 def target_function(inst: GameInstance, g: np.ndarray) -> int:
-    """f = y1*y2*y3 * sign(g(x)); undefined (raises) off the support of Q."""
+    """f = y_1...y_n * sign(g(x)); undefined (raises) off the support of Q."""
     coeff = float(np.asarray(g)[inst.x])
     if coeff == 0:
         raise ValueError(f"target undefined on zero-probability setting tuple {inst.x}")
     sign = 1 if coeff > 0 else -1
-    return inst.y[0] * inst.y[1] * inst.y[2] * sign
+    return math.prod(inst.y) * sign
 
 
 def parity_target(inst: GameInstance) -> int:
@@ -54,13 +51,13 @@ def parity_target(inst: GameInstance) -> int:
 
 def scalar_product(f_func, a_func, q: np.ndarray) -> float:
     """Literal weighted scalar product: the double sum over all y and all
-    q-supported x of (1/8) * q(x) * f(y,x) * A(y,x)."""
+    q-supported x of 2^-n * q(x) * f(y,x) * A(y,x)."""
     q = np.asarray(q)
     total = 0.0
     for x in map(tuple, np.argwhere(q).tolist()):
-        for y in Y_TUPLES:
+        for y in itertools.product((-1, 1), repeat=q.ndim):
             inst = GameInstance(y, x)
-            total += q[x] * f_func(inst) * a_func(inst) / 2 ** N_PARTIES
+            total += q[x] * f_func(inst) * a_func(inst) / 2 ** q.ndim
     return total
 
 
@@ -85,18 +82,16 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
     Returns the lexicographically smallest maximizer of P(A = f) together
     with its exact success probability.
     """
-    g = np.asarray(g)
+    g = coefficient_table(g)
     support = np.argwhere(g != 0)
-    if support.size == 0:
-        raise ValueError("all-zero coefficient table")
     # exact test: a table within rounding of integers is not integral, and
     # truncating its sums could give a success probability above 1
     integral = np.array_equal(g, np.round(g))
     sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
 
     # free slots: the (party, setting) pairs the support uses, in row-major order
-    live = np.zeros((N_PARTIES, max(g.shape)), dtype=bool)
-    live[np.arange(N_PARTIES), support] = True
+    live = np.zeros((g.ndim, g.shape[0]), dtype=bool)
+    live[np.arange(g.ndim), support] = True
     _, best, argmax, _ = search_strategies(g, list(map(tuple, np.argwhere(live).tolist())))
     return argmax, success_probability(int(round(best)) if integral else best, sum_abs)
 
@@ -108,8 +103,8 @@ def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:
     q = input_distribution(g)
     total = 0.0
     for x in map(tuple, np.argwhere(q).tolist()):
-        for y in Y_TUPLES:
+        for y in itertools.product((-1, 1), repeat=q.ndim):
             inst = GameInstance(y, x)
             if strategy.answer(inst) == target_function(inst, g):
-                total += q[x] / 2 ** N_PARTIES
+                total += q[x] / 2 ** q.ndim
     return total

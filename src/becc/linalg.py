@@ -20,21 +20,6 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def normalize_ket(amplitudes: np.ndarray) -> np.ndarray:
-    """Return the unit-norm version of a state vector."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = np.linalg.norm(v)
-    if norm == 0 or not np.isfinite(norm):
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    return v / norm
-
-
-def outer(ket: np.ndarray) -> np.ndarray:
-    """Projector |k><k| of a state vector (not renormalized here)."""
-    v = np.asarray(ket, dtype=complex).ravel()
-    return np.outer(v, v.conj())
-
-
 def partial_transpose(m: np.ndarray, party: int, local_dims: list[int]) -> np.ndarray:
     """Transpose a single tensor factor of a multipartite operator.
 

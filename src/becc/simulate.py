@@ -1,10 +1,10 @@
-"""Monte Carlo execution of the three-party broadcast protocol.
+"""Monte Carlo execution of the n-party broadcast protocol.
 
 A shot draws a setting tuple x from Q and sign bits y uniformly, yields
 outcomes a (classical: the optimal sign functions; quantum: Born-rule
 outcomes on the shared state), and each party broadcasts y_i * a_i.  The
-guess y1*y2*y3 * a1*a2*a3 equals the target y1*y2*y3 * sign g(x) exactly
-when a1*a2*a3 = sign g(x): the sign bits cancel and never affect success.
+guess y_1...y_n a_1...a_n equals the target y_1...y_n sign g(x) exactly
+when a_1...a_n = sign g(x): the sign bits cancel and never affect success.
 A run reports only counts, so the shots of a shard are drawn at once as
 Multinomial(n, pi) over the (setting tuple, outcome) cells, with
 pi(x, a) = Q(x) P(a|x); this is the exact law of the per-shot counts.
@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bell, ccp, state
-from .bell import N_PARTIES, OUTCOME_PRODUCT, Inequality
-from .bell import born_distribution  # re-exported: P(a|x) for one setting tuple
+# re-exported: the built-in game's outcome products, and P(a|x) for one setting tuple
+from .bell import OUTCOME_PRODUCT, born_distribution
 
 # one SeedSequence and generator per shard; the cap keeps a run's set-up bounded
 MAX_SHARDS = 1024
@@ -92,12 +92,12 @@ class GameTables:
 
     Holds the q-supported setting tuples with their input probabilities
     Q(x), the target signs, and per protocol an outcome table P(a|x) over
-    (support, 3-bit outcome): Born-rule pmfs for "quantum", a one-hot row
+    (support, n-bit outcome): Born-rule pmfs for "quantum", a one-hot row
     at the optimal strategy's answer for "classical".  ``win[x, a]`` marks
     the cells where the guess equals the target.
     """
 
-    def __init__(self, rho=None, obs=None, ineq: Inequality = None):
+    def __init__(self, rho=None, obs=None, ineq: bell.Inequality = None):
         self.rho = state.build_vb_state() if rho is None else rho
         self.obs = bell.measurement_observables() if obs is None else obs
         self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq
@@ -109,15 +109,15 @@ class GameTables:
         idx = np.nonzero(g)  # the support as index arrays, in the same order
         self.q_support = ccp.input_distribution(g)[idx]
         self.target_sign = np.where(g[idx] > 0, 1, -1)
-        self.win = OUTCOME_PRODUCT == self.target_sign[:, None]
+        outcomes = bell.outcome_signs(g.ndim)
+        self.win = outcomes.prod(axis=1) == self.target_sign[:, None]
 
         strategy, self.p_classical_exact = ccp.optimal_classical_strategy(g)
-        # outcome index of the strategy's answers: bit set where a_i = -1
-        negative = np.array(strategy.a)[np.arange(N_PARTIES)[:, None], np.array(idx)] < 0
-        answer = (1 << np.arange(N_PARTIES)[::-1]) @ negative
+        # the strategy's answers a_i(x_i) on each supported x, as (support, party)
+        answers = np.array(strategy.a)[np.arange(g.ndim)[:, None], np.array(idx)].T
         self.outcome_pmf = {
             "quantum": quantum_pmf,
-            "classical": np.eye(len(OUTCOME_PRODUCT))[answer],
+            "classical": (answers[:, None] == outcomes).all(axis=-1).astype(float),
         }
 
         s = self.quantum_value = bell.expression_value(g, bell.correlations(born))
@@ -140,7 +140,7 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
 
 def sample_counts(config: SimulationConfig,
                   tables: GameTables | None = None) -> np.ndarray:
-    """Shot counts per (support tuple, outcome) cell, shape (len(support), 8).
+    """Shot counts per (support tuple, outcome) cell, shape (len(support), 2^n).
 
     Shots are split across shards as evenly as possible (the first
     shots % shards shards get one extra); shard k draws

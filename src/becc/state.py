@@ -64,8 +64,10 @@ def build_vb_state() -> np.ndarray:
     wsum = sum(MIXTURE_WEIGHTS)
     rho = np.zeros((8, 8))
     for w, amps in zip(MIXTURE_WEIGHTS, PURE_STATE_AMPLITUDES):
-        ket = linalg.normalize_ket(np.array(amps, dtype=float))
-        rho += (w / wsum) * linalg.outer(ket).real
+        # complex on purpose: a float norm rounds differently and moves rho's last bits
+        ket = np.array(amps, dtype=complex)
+        ket = ket / np.linalg.norm(ket)
+        rho += (w / wsum) * np.outer(ket, ket.conj()).real
     return rho
 
 

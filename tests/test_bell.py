@@ -70,7 +70,8 @@ class TestSliwa5:
 
 
 class TestInequality:
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 2), (2, 2, 2, 2)])
+    # a cube has any number of axes, all of one length, but at least one
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 3, 2), (2, 2, 2, 3), ()])
     def test_rejects_non_cube(self, shape):
         with pytest.raises(ValueError, match="cube"):
             Inequality(np.ones(shape), -1, 1)
@@ -287,6 +288,17 @@ class TestQuantumValue:
         s_hom = quantum_value(hom, rho, obs)
         s_orig = general_quantum_value(sliwa5(), rho, obs)
         assert s_hom == pytest.approx(5.0 + s_orig, abs=1e-9)
+
+    @pytest.mark.parametrize("n_obs", [2, 4])
+    @pytest.mark.parametrize("consumer", ["quantum_value", "GameTables"])
+    def test_rejects_party_count_mismatch(self, hom, n_obs, consumer):
+        # g has three parties; the state and observables have n_obs
+        obs = [[np.eye(2)] * 4 for _ in range(n_obs)]
+        rho = np.eye(2 ** n_obs) / 2 ** n_obs
+        call = {"quantum_value": lambda: quantum_value(hom, rho, obs),
+                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom)}
+        with pytest.raises(ValueError, match=f"{n_obs} parties for a 3-party table"):
+            call[consumer]()
 
     def test_bell_violation(self, rho, obs, hom):
         s = quantum_value(hom, rho, obs)

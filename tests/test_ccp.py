@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from becc import bell, ccp
+from becc import bell
 from becc.ccp import (
     ClassicalStrategy,
     GameInstance,
@@ -71,7 +71,7 @@ class TestTargetFunction:
         for x in itertools.product(range(4), repeat=3):
             if g[x] == 0:
                 continue
-            for y in ccp.Y_TUPLES:
+            for y in itertools.product((-1, 1), repeat=3):
                 inst = GameInstance(y, x)
                 assert target_function(inst, g) == parity_target(inst)
 
@@ -112,6 +112,13 @@ class TestOptimalClassicalStrategy:
         _, hi, _ = bell.classical_extrema(hom)
         _, success = optimal_classical_strategy(g)
         assert success == success_probability(int(hi), 22)
+
+    def test_rejects_non_cube_table(self):
+        # parties 2 and 3 use a setting 2 that party 1 lacks: not a cube
+        g1 = np.zeros((2, 3, 3))
+        g1[1, 2, 2] = 1.0
+        with pytest.raises(ValueError, match=r"cube .* \(2, 3, 3\)"):
+            optimal_classical_strategy(g1)
 
     def test_single_coefficient_game_always_won(self):
         g1 = np.zeros((4, 4, 4))

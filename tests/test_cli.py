@@ -58,7 +58,8 @@ class TestBellCommands:
         monkeypatch.setattr(bell, "sliwa5", lambda: ineq)
         if form == "--homogenized":
             expected = 512  # every non-identity setting of the 4-setting form
-        # small blocks, so the count and the tie-break cross block edges
+        # a 5-entry budget gives one strategy per block, so the count and
+        # the tie-break cross block edges
         monkeypatch.setattr(bell, "STRATEGY_BLOCK", 5)
         code, out = run(capsys, "bell", "bounds", form, "--format", "json")
         assert code == 0
@@ -198,6 +199,7 @@ GOLDEN_OUTPUTS = {
     "bell_coefficients.json": ("bell", "coefficients"),
     "game_exact.json": ("game", "exact", "--format", "json"),
     "reproduce_paper.json": ("reproduce-paper", "--format", "json"),
+    "state_dump.json": ("state", "dump"),
 }
 
 

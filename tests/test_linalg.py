@@ -80,16 +80,3 @@ class TestHermitianEigenvalues:
             eigs = linalg.hermitian_eigenvalues(m)
             assert abs(eigs.sum() - np.trace(m).real) < 1e-9
 
-
-class TestBasics:
-    def test_outer_basis_ket(self):
-        ket = np.zeros(8)
-        ket[0] = 1.0
-        proj = linalg.outer(linalg.normalize_ket(ket))
-        expected = np.zeros((8, 8))
-        expected[0, 0] = 1.0
-        assert np.array_equal(proj, expected)
-
-    def test_normalize_zero_vector(self):
-        with pytest.raises(ValueError):
-            linalg.normalize_ket(np.zeros(4))

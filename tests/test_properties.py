@@ -3,7 +3,9 @@ certificates, the game tables and the success probabilities, checked on
 random inputs against oracles written here: a plain itertools.product
 enumeration for the classical side, the kron-and-trace formula for the
 quantum side, and one-matrix and one-tuple loops for the stacked and
-gathered arrays."""
+gathered arrays.  The search, the Born table and the game tables are
+checked with 2, 3 and 4 parties."""
+import functools
 import itertools
 import math
 import tracemalloc
@@ -18,12 +20,17 @@ from hypothesis import assume, given, settings, strategies as st
 from becc import bell, ccp, linalg, simulate, state
 
 
-def sparse_tables(n_settings):
+def sparse_tables(n_settings, n_parties=3):
     """Sparse integer coefficient tables on n settings per party, so that
-    every value is exact."""
+    every value is exact; a key is a setting tuple."""
     settings = st.integers(0, n_settings - 1)
-    return st.dictionaries(st.tuples(settings, settings, settings),
+    return st.dictionaries(st.tuples(*[settings] * n_parties),
                            st.integers(-3, 3).filter(bool), min_size=1, max_size=10)
+
+
+def party_tables(n_settings):
+    """Sparse tables as above with 2, 3 or 4 parties."""
+    return st.integers(2, 4).flatmap(lambda n: sparse_tables(n_settings, n))
 
 
 def sized_tables(low, high):
@@ -32,11 +39,16 @@ def sized_tables(low, high):
 
 
 G_TABLES = sparse_tables(4)
+# entry budgets of a block: 1 and 7 give one strategy per block
 BLOCKS = st.sampled_from([1, 7, 64, bell.STRATEGY_BLOCK])
 
 
+def parties(entries):
+    return len(next(iter(entries)))
+
+
 def dense(entries, n_settings=4):
-    g = np.zeros((n_settings,) * 3)
+    g = np.zeros((n_settings,) * parties(entries))
     for x, c in entries.items():
         g[x] += c
     return g
@@ -55,10 +67,11 @@ def oracle(entries, free, n_settings=4):
     (1 meaning -1) sits on slot j."""
     values = []
     for signs in itertools.product((1, -1), repeat=len(free)):
-        a = [[1] * n_settings for _ in range(3)]
+        a = [[1] * n_settings for _ in range(parties(entries))]
         for (p, s), v in zip(free, reversed(signs)):
             a[p][s] = v
-        value = sum(c * a[0][x[0]] * a[1][x[1]] * a[2][x[2]] for x, c in entries.items())
+        value = sum(c * math.prod(a[p][s] for p, s in enumerate(x))
+                    for x, c in entries.items())
         values.append((value, a))
     high = max(v for v, _ in values)
     return min(v for v, _ in values), high, next(a for v, a in values if v == high)
@@ -69,9 +82,9 @@ def rows(strategy):
 
 
 @settings(max_examples=40, deadline=None)
-@given(G_TABLES, BLOCKS)
+@given(party_tables(4), BLOCKS)
 def test_full_correlation_extrema_match_oracle(entries, block):
-    free = [(p, s) for p in range(3) for s in range(1, 4)]
+    free = [(p, s) for p in range(parties(entries)) for s in range(1, 4)]
     with mock.patch.object(bell, "STRATEGY_BLOCK", block):
         lo, hi, argmax = bell.classical_extrema(inequality(dense(entries)))
     want_lo, want_hi, want_argmax = oracle(entries, free)
@@ -123,8 +136,9 @@ def test_extrema_invariant_under_relabelling(entries, perm, flips):
         assert bell.classical_extrema(inequality(h))[:2] == (lo, hi)
 
 
-def ginibre_state(rng):
-    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+def ginibre_state(rng, n_parties=3):
+    dim = 2 ** n_parties
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
 
@@ -134,24 +148,32 @@ def reflection(rng):
     return q @ np.diag([1.0, -1.0]) @ q.conj().T
 
 
+def random_observables(rng, n_parties):
+    return [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(n_parties)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_born_outputs_on_random_states(seed):
+@given(st.integers(0, 2 ** 32 - 1), party_tables(3))
+def test_born_outputs_on_random_states(seed, entries):
+    n = parties(entries)
     rng = np.random.default_rng(seed)
-    rho = ginibre_state(rng)
-    obs = [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(3)]
+    rho = ginibre_state(rng, n)
+    obs = random_observables(rng, n)
     table = bell.born_table(rho, obs)
+    assert table.shape == (3,) * n + (2 ** n,)
     assert table.min() >= 0.0
     assert np.abs(table.sum(axis=-1) - 1.0).max() <= 1e-12
-    for x in itertools.product(range(3), repeat=3):
-        op = np.kron(np.kron(obs[0][x[0]], obs[1][x[1]]), obs[2][x[2]])
+    # outcome index a: party 1's bit most significant, bit 1 meaning -1
+    product = np.array([math.prod(a) for a in itertools.product((1, -1), repeat=n)])
+    for x in itertools.product(range(3), repeat=n):
+        op = functools.reduce(np.kron, [obs[p][s] for p, s in enumerate(x)])
         trace = np.trace(rho @ op)
         assert abs(trace.imag) <= 1e-12
-        assert float(bell.OUTCOME_PRODUCT @ table[x]) == pytest.approx(trace.real, abs=1e-12)
+        assert float(product @ table[x]) == pytest.approx(trace.real, abs=1e-12)
         assert bell.correlation(rho, obs, x) == pytest.approx(trace.real, abs=1e-12)
         assert np.array_equal(bell.born_distribution(rho, obs, x), table[x])
-    hom = bell.homogenize(bell.sliwa5())
-    assert abs(bell.quantum_value(hom, rho, obs)) <= hom.sum_abs()
+    ineq = inequality(dense(entries, 3))
+    assert abs(bell.quantum_value(ineq, rho, obs)) <= ineq.sum_abs()
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,30 +213,32 @@ def test_certificates_need_one_8x8_matrix(shape):
 
 
 @settings(max_examples=30, deadline=None)
-@given(sparse_tables(3), st.integers(0, 2 ** 32 - 1))
+@given(party_tables(3), st.integers(0, 2 ** 32 - 1))
 def test_game_tables_match_per_tuple_oracle(entries, seed):
     # the gathered arrays of GameTables against one loop over the support
+    n = parties(entries)
     g = dense(entries, 3)
     rng = np.random.default_rng(seed)
-    rho = ginibre_state(rng)
-    obs = [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(3)]
+    rho = ginibre_state(rng, n)
+    obs = random_observables(rng, n)
     tables = simulate.GameTables(rho=rho, obs=obs, ineq=inequality(g))
     born = bell.born_table(rho, obs)
     corr = bell.correlations(born)
     strategy, _ = ccp.optimal_classical_strategy(g)
-    support = [x for x in itertools.product(range(3), repeat=3) if g[x] != 0]
+    support = [x for x in itertools.product(range(3), repeat=n) if g[x] != 0]
     assert tables.support == support
     q = ccp.input_distribution(g)
     assert np.array_equal(tables.q_support, [q[x] for x in support])
     signs = [1 if g[x] > 0 else -1 for x in support]
     assert np.array_equal(tables.target_sign, signs)
+    outcomes = list(itertools.product((0, 1), repeat=n))
     for k, (x, sign) in enumerate(zip(support, signs)):
-        for a, bits in enumerate(itertools.product((0, 1), repeat=3)):
+        for a, bits in enumerate(outcomes):
             assert tables.win[k, a] == (math.prod(1 - 2 * b for b in bits) == sign)
         assert np.array_equal(tables.outcome_pmf["quantum"][k], born[x])
-        answer = tuple(int(strategy.a[p][x[p]] < 0) for p in range(3))
-        one_hot = np.zeros(8)
-        one_hot[list(itertools.product((0, 1), repeat=3)).index(answer)] = 1.0
+        answer = tuple(int(strategy.a[p][x[p]] < 0) for p in range(n))
+        one_hot = np.zeros(2 ** n)
+        one_hot[outcomes.index(answer)] = 1.0
         assert np.array_equal(tables.outcome_pmf["classical"][k], one_hot)
     terms = [g[x] * corr[x] for x in support]
     assert tables.quantum_value == float(sum(terms))  # left to right, as numpy scalars
@@ -246,9 +270,18 @@ def test_homogenize_centres_extrema_and_shifts_quantum_value(sized, seed):
     assert bell.classical_extrema(hom)[:2] == ((lo - hi) / 2, (hi - lo) / 2)
     rng = np.random.default_rng(seed)
     rho = ginibre_state(rng)
-    obs = [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(3)]
+    obs = random_observables(rng, 3)
     shift = bell.quantum_value(hom, rho, obs) - bell.quantum_value(ineq, rho, obs)
     assert shift == pytest.approx(-(lo + hi) / 2, abs=1e-12)
+
+
+def traced_extrema(ineq):
+    """classical_extrema, and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return bell.classical_extrema(ineq), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_large_space_in_bounded_memory():
@@ -261,17 +294,23 @@ def test_large_space_in_bounded_memory():
     g[0, 0, 0] = 2.0
     for (p, s), c in zip(slots, coefficients):
         g[tuple(s if q == p else 0 for q in range(3))] = c
-    tracemalloc.start()
-    try:
-        lo, hi, argmax = bell.classical_extrema(inequality(g))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (lo, hi, argmax), peak = traced_extrema(inequality(g))
     total = sum(abs(c) for c in coefficients)
     assert (lo, hi) == (2 - total, 2 + total)
     for (p, s), c in zip(slots, coefficients):
         assert argmax.a[p][s] == math.copysign(1, c)
     # the whole 2^21 x 3 x 8 sign tensor would take 384 MiB
+    assert peak < 16 * 2 ** 20
+
+    # 12 parties with 2 settings: g = (x) (1, c_k), so the expression is
+    # prod_k (1 + c_k a_k(1)), with extrema 0 and 2^12 at a_k(1) = c_k.  A
+    # strategy's first contraction has 2^11 entries, so with a fixed block
+    # of 4096 strategies that contraction alone takes 64 MiB
+    c = [(-1) ** k for k in range(12)]
+    g = functools.reduce(np.multiply.outer, [[1.0, ck] for ck in c], np.ones(()))
+    (lo, hi, argmax), peak = traced_extrema(inequality(g))
+    assert (lo, hi) == (0, 2 ** 12)
+    assert [row[1] for row in argmax.a] == c
     assert peak < 16 * 2 ** 20
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestTables:
         g = tables.ineq.g
         for k, x in enumerate(tables.support):
             for a, bits in enumerate(itertools.product((1, -1), repeat=3)):
-                for y in ccp.Y_TUPLES:
+                for y in itertools.product((-1, 1), repeat=3):
                     guess = math.prod(yi * ai for yi, ai in zip(y, bits))
                     target = ccp.target_function(ccp.GameInstance(y, x), g)
                     assert (guess == target) == tables.win[k, a]
@@ -208,6 +209,93 @@ class TestRunProtocol:
         doc = json.loads(json.dumps(report.to_dict()))
         for key in ("protocol", "shots", "successes", "p_hat", "stderr", "seed"):
             assert key in doc
+
+
+class TestDeterminism:
+    def test_success_counts_are_pinned(self, tables):
+        # a report is a function of (seed, shards, shots, protocol) alone
+        config = SimulationConfig(1_000_000, seed=3, shards=3)
+        assert run_protocol(config, tables).successes == 681957
+        assert run_protocol(config._replace(protocol="classical"), tables).successes == 680814
+        counts = [gap_experiment(400_000_000, seed=seed, tables=tables).simulation.successes
+                  for seed in range(3)]
+        assert counts == [272799995, 272782641, 272788819]
+
+
+def reflection_in_xy_plane(phi):
+    """cos(phi) X + sin(phi) Y."""
+    return np.array([[0, np.exp(-1j * phi)], [np.exp(1j * phi), 0]])
+
+
+def ghz(n):
+    ket = np.zeros(2 ** n)
+    ket[0] = ket[-1] = 1 / math.sqrt(2)
+    return np.outer(ket, ket)
+
+
+def chsh():
+    g = np.zeros((3, 3))
+    g[1, 1] = g[1, 2] = g[2, 1] = 1
+    g[2, 2] = -1
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    obs = [[np.eye(2), z, x], [np.eye(2), (z + x) / math.sqrt(2), (z - x) / math.sqrt(2)]]
+    return ghz(2), obs, g
+
+
+def mermin():
+    # XXX - XYY - YXY - YYX, setting 1 = X and setting 2 = Y
+    g = np.zeros((3, 3, 3))
+    g[1, 1, 1] = 1
+    g[1, 2, 2] = g[2, 1, 2] = g[2, 2, 1] = -1
+    obs = [[np.eye(2), reflection_in_xy_plane(0), reflection_in_xy_plane(math.pi / 2)]] * 3
+    return ghz(3), obs, g
+
+
+def mk4():
+    # Re + Im of prod_k (a_k + i a'_k): a term with t primed factors has
+    # coefficient Re(i^t) + Im(i^t)
+    g = np.zeros((3,) * 4)
+    for x in itertools.product((1, 2), repeat=4):
+        t = x.count(2)
+        g[x] = (1j ** t).real + (1j ** t).imag
+    a = reflection_in_xy_plane(-math.pi / 16)
+    a_primed = reflection_in_xy_plane(-math.pi / 16 + math.pi / 2)
+    return ghz(4), [[np.eye(2), a, a_primed]] * 4, g
+
+
+TEXTBOOK_GAMES = {
+    # name: (builder of (rho, obs, g), parties, sum |g|, classical max, S, P_C, P_Q)
+    "chsh": (chsh, 2, 4, 2, 2 * math.sqrt(2), Fraction(3, 4), math.cos(math.pi / 8) ** 2),
+    "mermin": (mermin, 3, 4, 2, 4, Fraction(3, 4), 1.0),
+    "mk4": (mk4, 4, 16, 4, 8 * math.sqrt(2), Fraction(5, 8), math.cos(math.pi / 8) ** 2),
+}
+
+
+def textbook_tables(name):
+    rho, obs, g = TEXTBOOK_GAMES[name][0]()
+    total = np.abs(g).sum()
+    return GameTables(rho=rho, obs=obs, ineq=bell.Inequality(g, -total, total))
+
+
+class TestTextbookGames:
+    """Closed-form games of the construction P = (1 + S / sum|g|) / 2 for
+    n = 2, 3 and 4 parties."""
+
+    @pytest.mark.parametrize("name", sorted(TEXTBOOK_GAMES))
+    def test_closed_form_values(self, name):
+        _, n, sum_abs, c_max, s, p_c, p_q = TEXTBOOK_GAMES[name]
+        t = textbook_tables(name)
+        assert t.ineq.g.ndim == n and t.ineq.sum_abs() == sum_abs
+        lo, hi, _ = bell.classical_extrema(t.ineq)
+        assert (lo, hi) == (-c_max, c_max)
+        assert t.quantum_value == pytest.approx(s, abs=1e-12)
+        assert t.p_classical_exact == p_c
+        assert t.p_quantum_exact == pytest.approx(p_q, abs=1e-12)
+
+    def test_chsh_run_within_five_sigma(self):
+        report = run_protocol(SimulationConfig(shots=1_000_000, seed=0), textbook_tables("chsh"))
+        p_q = math.cos(math.pi / 8) ** 2
+        assert abs(report.empirical_probability - p_q) <= 5 * math.sqrt(p_q * (1 - p_q) / 1e6)
 
 
 class TestGapExperiment:
