@@ -20,9 +20,10 @@ from . import tolerances
 N_SETTINGS = 4  # homogenized form: settings 0..3 (0 = identity, 3 = unused)
 
 MAX_STRATEGY_SPACE = 2 ** 24
-# rows of a block follow from g's shape: its first contraction with g has
-# at most this many entries, so peak memory grows neither with the size of
-# the strategy space nor with the number of parties
+# no intermediate of the strategy search has more than this many entries,
+# except the first contraction of g with one row (g.size / settings), so
+# peak memory grows neither with the size of the strategy space nor with
+# the number of parties
 STRATEGY_BLOCK = 2 ** 16
 
 
@@ -152,42 +153,78 @@ def strategy_space(ineq: Inequality) -> tuple[np.ndarray, list[tuple[int, int]]]
     return ineq.g, free
 
 
+def _fits(rows: list[int], s: int) -> bool:
+    """Whether search_strategies may contract with local sign tables of
+    these row counts: the (n, rows, s) tables and each contraction with
+    party k, of s^k x (rows of parties k..n) entries, have at most
+    STRATEGY_BLOCK entries unless they have one row."""
+    product = 1
+    for k in reversed(range(len(rows))):
+        product *= rows[k]
+        if product > 1 and product * s ** k > STRATEGY_BLOCK:
+            return False
+    return max(rows) == 1 or max(rows) * len(rows) * s <= STRATEGY_BLOCK
+
+
 def search_strategies(
     g: np.ndarray, free: list[tuple[int, int]],
 ) -> tuple[float, float, ClassicalStrategy, int]:
     """Exact extrema of sum_x g(x) a_1(x_1) ... a_n(x_n) over the
-    2^len(free) deterministic strategies that vary the ``free`` slots.
+    2^len(free) deterministic strategies that vary the ``free`` slots,
+    given as (party, setting) pairs in party-major order.
 
-    Returns (min, max, argmax, number of strategies contracted).  Row r
-    puts bit j of r on free slot j, bit 0 meaning +1, so row 0 is the
-    all-ones strategy; every other slot stays +1.  The rows are contracted
-    with g one party at a time (last party first), in blocks whose first
-    contraction has at most STRATEGY_BLOCK entries (one row if a single
-    row has more).  The argmax is the smallest row that attains the
-    maximum, across blocks as within one.
+    Returns (min, max, argmax, 2^len(free)).  Row r puts bit j of r on
+    free slot j, bit 0 meaning +1, so row 0 is the all-ones strategy;
+    every other slot stays +1.  The argmax is the smallest row that
+    attains the maximum.  A free slot whose setting carries none of g's
+    support for its party changes no value, so it stays +1 (its bit 0
+    gives the smaller row).  The expression is multilinear in the
+    parties' outputs, so g is contracted with one local sign table per
+    party, a row per assignment of its live slots, last party first.
+    Where that would make an array of more than STRATEGY_BLOCK entries,
+    the last live slots are enumerated instead, one combination at a time.
     """
+    g = np.asarray(g, dtype=float)
+    n, s = g.ndim, g.shape[0]
     if 2 ** len(free) > MAX_STRATEGY_SPACE:
         raise ValueError(f"strategy space 2^{len(free)} too large to enumerate")
-    g = np.asarray(g, dtype=float)
-    n_settings = g.shape[0]
-    parties, settings = np.array(free, dtype=int).reshape(-1, 2).T
-    block = max(1, STRATEGY_BLOCK * n_settings // g.size)
-    low, high, best, enumerated = math.inf, -math.inf, None, 0
-    for start in range(0, 2 ** len(free), block):
-        rows = np.arange(start, min(start + block, 2 ** len(free)))
-        # the block's strategies as a (rows, parties, settings) +-1 tensor
-        signs = np.ones((len(rows), g.ndim, n_settings))
-        signs[:, parties, settings] = 1 - 2 * ((rows[:, None] >> np.arange(len(free))) & 1)
-        v = signs[:, -1] @ g.reshape(-1, n_settings).T
-        for party in range(g.ndim - 2, -1, -1):
-            v = np.einsum("nij,nj->ni", v.reshape(len(rows), -1, n_settings), signs[:, party])
-        values = v[:, 0]
-        k = int(np.argmax(values))
-        if values[k] > high:  # strict: an earlier block keeps a tie
-            high, best = float(values[k]), signs[k].astype(int).tolist()
-        low = min(low, float(values.min()))
-        enumerated += len(rows)
-    return low, high, ClassicalStrategy(tuple(map(tuple, best))), enumerated
+    nonzero = g != 0
+    supported = [nonzero.reshape(s ** k, s, -1).any(axis=(0, 2)).tolist() for k in range(n)]
+    # masks[p, 0, x]: the bit of party p's table row (or, once enumerated,
+    # of the combination) that sets slot (p, x) to -1; 0 keeps it at +1
+    masks, counts, live, last = np.zeros((n, 1, s), dtype=int), [0] * n, [], (-1, 0)
+    for p, x in free:
+        if not (0 <= p < n and 0 <= x < s):
+            raise ValueError(f"free slot {(p, x)} is not in a {n}-party, {s}-setting table")
+        if (p, x) <= last:
+            raise ValueError(f"free slot {(p, x)} repeats a slot or breaks party-major order")
+        last = p, x
+        if supported[p][x]:
+            masks[p, 0, x], counts[p] = 1 << counts[p], counts[p] + 1
+            live.append(last)
+    rows, head = [2 ** c for c in counts], len(live)
+    while head and not _fits(rows, s):  # the last live slots leave the tables
+        head -= 1
+        rows[live[head][0]] //= 2
+    width = max(rows).bit_length() - 1
+    for j, (p, x) in enumerate(live[head:]):
+        masks[p, 0, x] = 1 << width + j
+    low, high, best = math.inf, -math.inf, None
+    for c in range(2 ** (len(live) - head)):  # in row order
+        tables = np.where(np.arange(c << width, c + 1 << width)[:, None] & masks, -1.0, 1.0)
+        local = [tables[k, :r] for k, r in enumerate(rows)]
+        v = g
+        for t in reversed(local):  # contract g's last axis, put the party's rows first
+            v = np.dot(t, v.reshape(-1, s).T)
+        low = min(low, float(v.min()))
+        v = v.reshape(rows).T  # party 1's rows vary fastest, as in the row number
+        k = int(v.argmax())
+        if v.flat[k] > high:  # strict: an earlier combination keeps a tie
+            high, best = float(v.flat[k]), []
+            for t in local:
+                k, r = divmod(k, len(t))
+                best.append(tuple(map(int, t[r].tolist())))
+    return low, high, ClassicalStrategy(tuple(best)), 2 ** len(free)
 
 
 def classical_extrema(ineq: Inequality) -> tuple[float, float, ClassicalStrategy]:
@@ -233,13 +270,13 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     clamped and each distribution renormalized; a more negative one, an
     imaginary part or a deviation of a sum from 1 beyond FLOAT is an error.
     """
-    n, eye = len(obs), np.eye(2)
+    n, eye, sign = len(obs), np.eye(2), np.array([1.0, -1.0])[:, None, None]
     p = np.asarray(rho).reshape((2,) * 2 * n)
     # trace(rho Pi_1 (x) ... (x) Pi_n) for every (x, a), one party at a time;
     # labels: party k's row and column axes k and n + k (as in rho), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1
     for k, o in enumerate(map(np.array, obs)):
-        stack = np.stack([(eye + o) / 2, (eye - o) / 2], axis=1)
+        stack = (eye + sign * o[:, None]) / 2  # x + (-y) is x - y, bit for bit
         measured = list(range(2 * n, 2 * n + 2 * k + 2))
         rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
         out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
@@ -248,7 +285,7 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     # every guard below is a comparison, which a NaN passes
     if not np.isfinite(p).all():
         raise ValueError("non-finite outcome probability: rho has a non-finite entry")
-    if np.abs(p.imag).max() > tolerances.FLOAT:
+    if np.iscomplexobj(p) and np.abs(p.imag).max() > tolerances.FLOAT:
         raise ValueError(f"outcome probability has imaginary part {np.abs(p.imag).max():.3e}")
     p = p.real
     if p.min() < -tolerances.NEGATIVITY:
@@ -278,10 +315,11 @@ def _at(table: np.ndarray, x: tuple[int, ...]):
     return table[tuple(x)]
 
 
-def on_support(table: np.ndarray, g: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The setting tuples where g is non-zero, in np.argwhere order, and
-    the entries of a Born or correlation table at them."""
-    idx = np.nonzero(g)
+def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
+               ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The setting tuples of a support given as np.nonzero(g) index
+    arrays, in that order, and the entries of a Born or correlation table
+    at them."""
     support = np.transpose(idx)
     missing = support >= table.shape[:len(idx)]
     if missing.any():
@@ -308,9 +346,10 @@ def expression_value(g: np.ndarray, corr: np.ndarray) -> float:
     """S = sum_x g(x) E(x) over the support of g, from a correlation table."""
     if corr.ndim != g.ndim:
         raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
-    _, e = on_support(corr, g)
+    idx = np.nonzero(g)
+    _, e = on_support(corr, idx)
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
-    return float(sum(g[g != 0] * e))
+    return float(sum(g[idx] * e))
 
 
 def quantum_value(ineq: Inequality, rho: np.ndarray, obs: list[list[np.ndarray]]) -> float:

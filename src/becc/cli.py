@@ -86,7 +86,7 @@ def cmd_bell_quantum_value(args) -> int:
     corr = bell.correlations(bell.born_table(state.build_vb_state(),
                                              bell.measurement_observables()))
     hom = bell.homogenize(bell.sliwa5())
-    support, e = bell.on_support(corr, hom.g)
+    support, e = bell.on_support(corr, hom.g.nonzero())
     s = bell.expression_value(hom.g, corr)
     emit({
         "quantum_value": s,

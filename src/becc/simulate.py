@@ -103,12 +103,13 @@ class GameTables:
         self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq
 
         g = self.ineq.g
+        idx = np.nonzero(g)  # the support as index arrays
         # one Born contraction gives both the outcome tables and S
         born = bell.born_table(self.rho, self.obs)
-        self.support, quantum_pmf = bell.on_support(born, g)
-        idx = np.nonzero(g)  # the support as index arrays, in the same order
-        self.q_support = ccp.input_distribution(g)[idx]
-        self.target_sign = np.where(g[idx] > 0, 1, -1)
+        self.support, quantum_pmf = bell.on_support(born, idx)
+        coefficients = g[idx]
+        self.q_support = np.abs(coefficients) / self.ineq.sum_abs()  # Q(x) on the support
+        self.target_sign = np.where(coefficients > 0, 1, -1)
         outcomes = bell.outcome_signs(g.ndim)
         self.win = outcomes.prod(axis=1) == self.target_sign[:, None]
 

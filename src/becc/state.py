@@ -45,9 +45,8 @@ class StateReport(NamedTuple):
         return self._asdict()
 
 
-def _check_transcription() -> None:
-    for i, amps in enumerate(PURE_STATE_AMPLITUDES):
-        norm = float(np.linalg.norm(amps))
+def _check_transcription(norms) -> None:
+    for i, norm in enumerate(norms):
         if abs(norm - 1.0) > tolerances.KET_NORM:
             raise AssertionError(f"pure state {i + 1} has norm {norm}")
     if abs(sum(MIXTURE_WEIGHTS) - 1.0) > tolerances.TRANSCRIPTION:
@@ -60,15 +59,26 @@ def build_vb_state() -> np.ndarray:
     Weights and kets are renormalized, so the result has unit trace to
     machine precision.  Deterministic: repeated calls are bit-identical.
     """
-    _check_transcription()
+    # complex on purpose: a float ket divided by its norm rounds
+    # differently and moves rho's last bits
+    kets = np.array(PURE_STATE_AMPLITUDES, dtype=complex)
+    norms = np.array([np.linalg.norm(ket) for ket in kets])
+    _check_transcription(norms)
+    kets = kets / norms[:, None]
     wsum = sum(MIXTURE_WEIGHTS)
-    rho = np.zeros((8, 8))
-    for w, amps in zip(MIXTURE_WEIGHTS, PURE_STATE_AMPLITUDES):
-        # complex on purpose: a float norm rounds differently and moves rho's last bits
-        ket = np.array(amps, dtype=complex)
-        ket = ket / np.linalg.norm(ket)
-        rho += (w / wsum) * np.outer(ket, ket.conj()).real
-    return rho
+    weights = np.array([w / wsum for w in MIXTURE_WEIGHTS])[:, None, None]
+    # sum over axis 0 adds the four components in order, as a += loop would
+    return (weights * (kets[:, :, None] * kets.conj()[:, None, :]).real).sum(axis=0)
+
+
+# gathers from rho.reshape(64), built on its (2,)*6 view, where axes k and
+# 3 + k are party k's row and column: _PT gives rho and its three partial
+# transposes (party k's two axes swapped), _PERMUTED the six party
+# permutations (row and column axes reordered alike)
+_T = np.arange(64).reshape((2,) * 6)
+_PT = np.stack([_T] + [_T.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
+_PERMUTED = np.stack([_T.transpose(p + tuple(3 + i for i in p))
+                      for p in itertools.permutations(range(3))]).reshape(6, 8, 8)
 
 
 def validate_state(rho: np.ndarray) -> StateReport:
@@ -78,19 +88,14 @@ def validate_state(rho: np.ndarray) -> StateReport:
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got {rho.shape}")
 
-    # as (2,)*6, axes k and 3 + k are the row and column index of party k
-    t = rho.reshape((2,) * 6)
-    stack = np.stack([t] + [t.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
+    flat = rho.reshape(64)
+    stack = flat[_PT]
     eigs = linalg.hermitian_eigenvalues(stack)
-    # each party permutation p reorders the row and the column axes alike
-    permuted = np.stack([t.transpose(p + tuple(3 + i for i in p))
-                         for p in itertools.permutations(range(3))])
-
     return StateReport(
         trace_deviation=abs(float(np.trace(rho).real) - 1.0),
         hermiticity_deviation=linalg.hermiticity_deviation(rho),
         min_eigenvalue=float(eigs[0, 0]),
-        permutation_symmetry_deviation=float(np.abs(permuted - t).max()),
+        permutation_symmetry_deviation=float(np.abs(flat[_PERMUTED] - rho).max()),
         pt_invariance_deviation=float(np.abs(stack[3] - rho).max()),
         pt_min_eigenvalues=tuple(eigs[1:, 0].tolist()),
     )

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,19 @@ class TestClassicalExtrema:
         assert hi == float(hom.g.sum()) == 8
         # lexicographic tie-break picks the all-ones strategy (encoding 0)
         assert all(v == 1 for row in argmax.a for v in row)
+
+    @pytest.mark.parametrize("free,message", [
+        ([(0, 5)], "free slot (0, 5) is not in"),
+        ([(3, 1)], "free slot (3, 1) is not in"),
+        ([(-1, 1)], "free slot (-1, 1) is not in"),
+        ([(0, 1), (0, 1)], "free slot (0, 1) repeats"),
+        ([(1, 1), (0, 1)], "free slot (0, 1) repeats a slot or breaks party-major order"),
+    ], ids=["setting-out-of-range", "party-out-of-range", "negative-party", "duplicate",
+            "not-party-major"])
+    def test_rejects_malformed_free_slots(self, hom, free, message):
+        # the search builds one sign table per party from party-major slots
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bell.search_strategies(hom.g, free)
 
     def test_strategy_space_guard(self):
         # 10 settings per party -> 27 free (party, setting) pairs -> 2^27 > guard

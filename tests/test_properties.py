@@ -2,12 +2,14 @@
 certificates, the game tables and the success probabilities, checked on
 random inputs against oracles written here: a plain itertools.product
 enumeration for the classical side, the kron-and-trace formula for the
-quantum side, and one-matrix and one-tuple loops for the stacked and
-gathered arrays.  The search, the Born table and the game tables are
-checked with 2, 3 and 4 parties."""
+quantum side, one-matrix and one-tuple loops for the stacked and
+gathered arrays, and the per-ket, per-transpose and per-outcome builds
+that the array forms must equal bit for bit.  The search, the Born table
+and the game tables are checked with 2, 3 and 4 parties."""
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -212,6 +214,96 @@ def test_certificates_need_one_8x8_matrix(shape):
         state.validate_state(np.zeros(shape))
 
 
+def loop_build(amplitudes, weights):
+    """Oracle: each ket normalized alone and its weighted outer product
+    added to rho in turn."""
+    wsum = sum(weights)
+    rho = np.zeros((8, 8))
+    for w, amps in zip(weights, amplitudes):
+        ket = np.array(amps, dtype=complex)
+        ket = ket / np.linalg.norm(ket)
+        rho += (w / wsum) * np.outer(ket, ket.conj()).real
+    return rho
+
+
+def transposed_stacks(rho):
+    """Oracle: rho and its three partial transposes, and its six party
+    permutations, each made by swapping or reordering axes of rho as (2,)*6."""
+    t = np.asarray(rho).reshape((2,) * 6)
+    pts = np.stack([t] + [t.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
+    permuted = np.stack([t.transpose(p + tuple(3 + i for i in p))
+                         for p in itertools.permutations(range(3))]).reshape(6, 8, 8)
+    return pts, permuted
+
+
+def stacked_projector_born_table(rho, obs):
+    """Oracle: born_table with each party's projectors (I + O)/2 and
+    (I - O)/2 built by np.stack, and the same contraction order."""
+    n, eye = len(obs), np.eye(2)
+    p = np.asarray(rho).reshape((2,) * 2 * n)
+    for k, o in enumerate(map(np.array, obs)):
+        stack = np.stack([(eye + o) / 2, (eye - o) / 2], axis=1)
+        measured = list(range(2 * n, 2 * n + 2 * k + 2))
+        rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
+        out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
+        p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
+    p = np.clip(p.reshape(p.shape[:n] + (-1,)).real, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def test_built_in_state_matches_loop_oracle():
+    rho = state.build_vb_state()
+    assert np.array_equal(rho, loop_build(state.PURE_STATE_AMPLITUDES, state.MIXTURE_WEIGHTS))
+    assert rho.tobytes() == loop_build(state.PURE_STATE_AMPLITUDES,
+                                       state.MIXTURE_WEIGHTS).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_state_build_matches_loop_oracle(seed):
+    # random kets and weights printed to 6 and 7 decimals, like the paper's
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((4, 8))
+    kets = np.round(kets / np.linalg.norm(kets, axis=1)[:, None], 6)
+    weights = rng.random(4) + 0.1
+    weights = tuple(np.round(weights / weights.sum(), 7).tolist())
+    amplitudes = tuple(map(tuple, kets.tolist()))
+    with mock.patch.object(state, "PURE_STATE_AMPLITUDES", amplitudes), \
+            mock.patch.object(state, "MIXTURE_WEIGHTS", weights):
+        rho = state.build_vb_state()
+    assert np.array_equal(rho, loop_build(amplitudes, weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_gathered_stacks_match_transpose_oracle(seed, real, built_in):
+    rho = state.build_vb_state() if built_in else ginibre_state(np.random.default_rng(seed))
+    if real:
+        rho = rho.real
+    pts, permuted = transposed_stacks(rho)
+    assert np.array_equal(rho.reshape(64)[state._PT], pts)
+    assert np.array_equal(rho.reshape(64)[state._PERMUTED], permuted)
+    report = state.validate_state(rho)
+    assert report.pt_invariance_deviation == float(np.abs(pts[3] - rho).max())
+    assert report.permutation_symmetry_deviation == float(np.abs(permuted - rho).max())
+    eigs = np.linalg.eigvalsh(pts)
+    assert (report.min_eigenvalue, report.pt_min_eigenvalues) == (
+        float(eigs[0, 0]), tuple(eigs[1:, 0].tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.booleans())
+def test_born_table_matches_stacked_projector_oracle(seed, n, real):
+    rng = np.random.default_rng(seed)
+    rho = ginibre_state(rng, n)
+    obs = random_observables(rng, n)
+    if real:
+        rho, obs = rho.real, [[o.real for o in row] for row in obs]
+    assert np.array_equal(bell.born_table(rho, obs), stacked_projector_born_table(rho, obs))
+    rho, obs = state.build_vb_state(), bell.measurement_observables()
+    assert bell.born_table(rho, obs).tobytes() == stacked_projector_born_table(rho, obs).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(party_tables(3), st.integers(0, 2 ** 32 - 1))
 def test_game_tables_match_per_tuple_oracle(entries, seed):
@@ -312,6 +404,36 @@ def test_large_space_in_bounded_memory():
     assert (lo, hi) == (0, 2 ** 12)
     assert [row[1] for row in argmax.a] == c
     assert peak < 16 * 2 ** 20
+
+
+def test_all_ones_twenty_party_table_in_time_and_memory():
+    # g = (x) (1, 1) over 20 two-setting parties: the expression is
+    # prod_k (1 + a_k(1)), with extrema 0 and 2^20 at the all-ones
+    # strategy.  All 20 free slots are live, so 2^20 strategies are
+    # contracted one party at a time, the last parties' rows enumerated
+    start = time.perf_counter()
+    (lo, hi, argmax), peak = traced_extrema(bell.Inequality(np.ones((2,) * 20), -1, 1))
+    assert time.perf_counter() - start <= 2
+    assert (lo, hi) == (0, 2 ** 20)
+    assert all(v == 1 for row in argmax.a for v in row)
+    assert peak < 16 * 2 ** 20
+
+
+def test_padded_eight_party_table_searches_live_slots_only():
+    # one term A_1(1) ... A_8(1) on two settings, homogenized: padding to
+    # N_SETTINGS = 4 settings gives 24 free slots (2^24 strategies), of
+    # which the 8 on setting 1 carry support, so 2^8 are contracted; the
+    # extrema are -+1 and the smallest maximizer is all ones
+    g = np.zeros((2,) * 8)
+    g[(1,) * 8] = 1.0
+    hom = bell.homogenize(bell.Inequality(g, -1, 1))
+    start = time.perf_counter()
+    (lo, hi, argmax), peak = traced_extrema(hom)
+    assert time.perf_counter() - start <= 1
+    assert (lo, hi) == (-1, 1)
+    assert all(v == 1 for row in argmax.a for v in row)
+    assert peak < 16 * 2 ** 20
+    assert bell.search_strategies(*bell.strategy_space(hom))[3] == 2 ** 24
 
 
 @given(st.integers(1, 10 ** 6), st.data())
