@@ -141,18 +141,6 @@ class ClassicalStrategy(NamedTuple):
         return math.prod(y * a[x] for y, a, x in zip(inst.y, self.a, inst.x))
 
 
-def strategy_space(ineq: Inequality) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Coefficient table g and the free (party, setting) output slots.
-
-    The identity setting 0 is pinned to output +1 (the identity observable
-    forces it) and every other setting of every party is free: n parties
-    with s settings each have n(s - 1) free slots, 2^6 = 64 strategies
-    for the original inequality and 2^9 = 512 for the homogenized one.
-    """
-    free = [(p, s) for p in range(ineq.g.ndim) for s in range(1, ineq.g.shape[0])]
-    return ineq.g, free
-
-
 def _fits(rows: list[int], s: int) -> bool:
     """Whether search_strategies may contract with local sign tables of
     these row counts: the (n, rows, s) tables and each contraction with
@@ -167,41 +155,41 @@ def _fits(rows: list[int], s: int) -> bool:
 
 
 def search_strategies(
-    g: np.ndarray, free: list[tuple[int, int]],
+    g: np.ndarray, pin_identity: bool,
 ) -> tuple[float, float, ClassicalStrategy, int]:
     """Exact extrema of sum_x g(x) a_1(x_1) ... a_n(x_n) over the
-    2^len(free) deterministic strategies that vary the ``free`` slots,
-    given as (party, setting) pairs in party-major order.
+    deterministic strategies of n parties with s settings each.
 
-    Returns (min, max, argmax, 2^len(free)).  Row r puts bit j of r on
-    free slot j, bit 0 meaning +1, so row 0 is the all-ones strategy;
-    every other slot stays +1.  The argmax is the smallest row that
-    attains the maximum.  A free slot whose setting carries none of g's
-    support for its party changes no value, so it stays +1 (its bit 0
-    gives the smaller row).  The expression is multilinear in the
-    parties' outputs, so g is contracted with one local sign table per
-    party, a row per assignment of its live slots, last party first.
-    Where that would make an array of more than STRATEGY_BLOCK entries,
-    the last live slots are enumerated instead, one combination at a time.
+    With pin_identity (a Bell inequality) setting 0 outputs +1, as the
+    identity observable forces, and settings 1.. of every party are free;
+    without it (the game, where setting 0 is a plain input) every setting
+    is free.  Returns (min, max, argmax, 2^(free slots)): 64 for the
+    original inequality, 512 for the homogenized one.  A free slot is
+    live when its setting carries some of g's support for its party; a
+    dead slot changes no value, so it stays +1, and only the
+    2^(live slots) strategies are searched, at most MAX_STRATEGY_SPACE.
+    Row r puts bit j of r on live slot j, in party-major order, bit 0
+    meaning +1, so row 0 is the all-ones strategy; the argmax is the
+    smallest row that attains the maximum.  The expression is
+    multilinear in the parties' outputs, so g is contracted with one
+    local sign table per party, a row per assignment of its live slots,
+    last party first.  Where that would make an array of more than
+    STRATEGY_BLOCK entries, the last live slots are enumerated instead,
+    one combination at a time.
     """
     g = np.asarray(g, dtype=float)
     n, s = g.ndim, g.shape[0]
-    if 2 ** len(free) > MAX_STRATEGY_SPACE:
-        raise ValueError(f"strategy space 2^{len(free)} too large to enumerate")
     nonzero = g != 0
     supported = [nonzero.reshape(s ** k, s, -1).any(axis=(0, 2)).tolist() for k in range(n)]
     # masks[p, 0, x]: the bit of party p's table row (or, once enumerated,
     # of the combination) that sets slot (p, x) to -1; 0 keeps it at +1
-    masks, counts, live, last = np.zeros((n, 1, s), dtype=int), [0] * n, [], (-1, 0)
-    for p, x in free:
-        if not (0 <= p < n and 0 <= x < s):
-            raise ValueError(f"free slot {(p, x)} is not in a {n}-party, {s}-setting table")
-        if (p, x) <= last:
-            raise ValueError(f"free slot {(p, x)} repeats a slot or breaks party-major order")
-        last = p, x
+    masks, counts, live = np.zeros((n, 1, s), dtype=int), [0] * n, []
+    for p, x in itertools.product(range(n), range(pin_identity, s)):
         if supported[p][x]:
             masks[p, 0, x], counts[p] = 1 << counts[p], counts[p] + 1
-            live.append(last)
+            live.append((p, x))
+    if 2 ** len(live) > MAX_STRATEGY_SPACE:
+        raise ValueError(f"{len(live)} live slots: 2^{len(live)} strategies too large to enumerate")
     rows, head = [2 ** c for c in counts], len(live)
     while head and not _fits(rows, s):  # the last live slots leave the tables
         head -= 1
@@ -224,16 +212,16 @@ def search_strategies(
             for t in local:
                 k, r = divmod(k, len(t))
                 best.append(tuple(map(int, t[r].tolist())))
-    return low, high, ClassicalStrategy(tuple(best)), 2 ** len(free)
+    return low, high, ClassicalStrategy(tuple(best)), 2 ** (n * (s - pin_identity))
 
 
 def classical_extrema(ineq: Inequality) -> tuple[float, float, ClassicalStrategy]:
     """Exact extrema of a Bell expression over all deterministic strategies
-    of ``strategy_space(ineq)``: 64 for the original form, 512 for the
+    with the identity pinned to +1: 64 for the original form, 512 for the
     homogenized one.  Returns (min, max, argmax) with the argmax
     tie-broken by the smallest bit encoding.
     """
-    return search_strategies(*strategy_space(ineq))[:3]
+    return search_strategies(ineq.g, True)[:3]
 
 
 # --- quantum side ---------------------------------------------------------
@@ -306,22 +294,13 @@ def correlations(pmf: np.ndarray) -> np.ndarray:
     return e
 
 
-def _at(table: np.ndarray, x: tuple[int, ...]):
-    """table[x] for a setting tuple x with an observable for every party."""
-    for party, setting in enumerate(x):
-        if not 0 <= setting < table.shape[party]:
-            raise ValueError(f"setting tuple {x}: party {party + 1} has no observable "
-                             f"for setting {setting}")
-    return table[tuple(x)]
-
-
 def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
                ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The setting tuples of a support given as np.nonzero(g) index
     arrays, in that order, and the entries of a Born or correlation table
-    at them."""
+    at them; a negative setting or one with no observable raises."""
     support = np.transpose(idx)
-    missing = support >= table.shape[:len(idx)]
+    missing = (support < 0) | (support >= table.shape[:len(idx)])
     if missing.any():
         k, party = np.argwhere(missing)[0]
         raise ValueError(f"setting tuple {tuple(support[k].tolist())}: party {party + 1} "
@@ -329,17 +308,24 @@ def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
     return list(map(tuple, support.tolist())), table[idx]
 
 
+def _at(table: np.ndarray, x: tuple[int, ...], n_parties: int):
+    """table[x] for a setting tuple x of one setting per party."""
+    if len(x) != n_parties:
+        raise ValueError(f"setting tuple {x} has {len(x)} settings for {n_parties} parties")
+    return on_support(table, tuple(np.reshape(x, (-1, 1))))[1][0]
+
+
 def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
                       x: tuple[int, ...]) -> np.ndarray:
     """P(a | x) for one setting tuple: its row of born_table."""
-    return _at(born_table(rho, obs), x)
+    return _at(born_table(rho, obs), x, len(obs))
 
 
 def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
                 x: tuple[int, ...]) -> float:
     """E(x) = trace(rho * O_{x_1} (x) ... (x) O_{x_n}) for one setting
     tuple, read from the Born table."""
-    return float(_at(correlations(born_table(rho, obs)), x))
+    return float(_at(correlations(born_table(rho, obs)), x, len(obs)))
 
 
 def expression_value(g: np.ndarray, corr: np.ndarray) -> float:

@@ -83,16 +83,11 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
     with its exact success probability.
     """
     g = coefficient_table(g)
-    support = np.argwhere(g != 0)
     # exact test: a table within rounding of integers is not integral, and
     # truncating its sums could give a success probability above 1
     integral = np.array_equal(g, np.round(g))
     sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
-
-    # free slots: the (party, setting) pairs the support uses, in row-major order
-    live = np.zeros((g.ndim, g.shape[0]), dtype=bool)
-    live[np.arange(g.ndim), support] = True
-    _, best, argmax, _ = search_strategies(g, list(map(tuple, np.argwhere(live).tolist())))
+    _, best, argmax, _ = search_strategies(g, False)
     return argmax, success_probability(int(round(best)) if integral else best, sum_abs)
 
 

@@ -71,7 +71,7 @@ def cmd_state_dump(args) -> int:
 
 def cmd_bell_bounds(args) -> int:
     ineq = bell.sliwa5() if args.original else bell.homogenize(bell.sliwa5())
-    lo, hi, argmax, enumerated = bell.search_strategies(*bell.strategy_space(ineq))
+    lo, hi, argmax, enumerated = bell.search_strategies(ineq.g, True)
     emit({
         "form": "original" if args.original else "homogenized",
         "min": lo,

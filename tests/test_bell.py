@@ -199,23 +199,12 @@ class TestClassicalExtrema:
         # lexicographic tie-break picks the all-ones strategy (encoding 0)
         assert all(v == 1 for row in argmax.a for v in row)
 
-    @pytest.mark.parametrize("free,message", [
-        ([(0, 5)], "free slot (0, 5) is not in"),
-        ([(3, 1)], "free slot (3, 1) is not in"),
-        ([(-1, 1)], "free slot (-1, 1) is not in"),
-        ([(0, 1), (0, 1)], "free slot (0, 1) repeats"),
-        ([(1, 1), (0, 1)], "free slot (0, 1) repeats a slot or breaks party-major order"),
-    ], ids=["setting-out-of-range", "party-out-of-range", "negative-party", "duplicate",
-            "not-party-major"])
-    def test_rejects_malformed_free_slots(self, hom, free, message):
-        # the search builds one sign table per party from party-major slots
-        with pytest.raises(ValueError, match=re.escape(message)):
-            bell.search_strategies(hom.g, free)
-
     def test_strategy_space_guard(self):
-        # 10 settings per party -> 27 free (party, setting) pairs -> 2^27 > guard
+        # 10 settings per party, each of the 27 non-identity settings
+        # carrying a term -> 27 live slots -> 2^27 > guard
         g = np.zeros((10, 10, 10))
-        g[9, 0, 0] = 1.0
+        for setting in range(1, 10):
+            g[setting, 0, 0] = g[0, setting, 0] = g[0, 0, setting] = 1.0
         with pytest.raises(ValueError, match="too large"):
             classical_extrema(Inequality(g, -1, 1))
 
@@ -253,6 +242,18 @@ class TestCorrelation:
     def test_setting_out_of_range(self, rho, obs):
         with pytest.raises(ValueError):
             correlation(rho, obs, (3, 0, 0))
+
+    @pytest.mark.parametrize("view", [correlation, bell.born_distribution])
+    @pytest.mark.parametrize("x,message", [
+        ((1, 1), "setting tuple (1, 1) has 2 settings for 3 parties"),
+        ((1, 1, 1, 1), "setting tuple (1, 1, 1, 1) has 4 settings for 3 parties"),
+        ((-1, 0, 0), "setting tuple (-1, 0, 0): party 1 has no observable for setting -1"),
+    ], ids=["short", "long", "negative"])
+    def test_rejects_malformed_tuple(self, rho, obs, view, x, message):
+        # plain indexing would read a block of the table for a short tuple,
+        # an outcome entry for a long one, and wrap a negative setting round
+        with pytest.raises(ValueError, match=re.escape(message)):
+            view(rho, obs, x)
 
 
 class TestBornTable:

@@ -126,6 +126,14 @@ class TestOptimalClassicalStrategy:
         _, success = optimal_classical_strategy(g1)
         assert success == 1
 
+    def test_game_space_guard_counts_live_slots(self):
+        # every setting of the game is free, so a nominal space of 2^30;
+        # the support uses settings 0 and 9 of each party, 2^6 live
+        g1 = np.zeros((10, 10, 10))
+        g1[9, 0, 0] = g1[0, 9, 0] = g1[0, 0, 9] = 1.0
+        _, success = optimal_classical_strategy(g1)
+        assert success == 1
+
     def test_near_integral_table_stays_a_probability(self):
         # within np.allclose of integers, but not integral: truncating the
         # sums to int gave Fraction(5, 4)

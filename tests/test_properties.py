@@ -109,12 +109,13 @@ def test_free_slot_rule_matches_oracle(sized, block):
 
 
 @settings(max_examples=30, deadline=None)
-@given(G_TABLES)
+@given(party_tables(3))
 def test_optimal_strategy_matches_oracle(entries):
-    # the game's search frees every setting its support uses, identity included
-    free = sorted({(p, x[p]) for x in entries for p in range(3)})
-    _, want_hi, want_argmax = oracle(entries, free)
-    strategy, success = ccp.optimal_classical_strategy(dense(entries))
+    # the game's search frees every setting its support uses, identity
+    # included: at most 4 parties x 3 settings, 2^12 strategies
+    free = sorted({(p, x[p]) for x in entries for p in range(parties(entries))})
+    _, want_hi, want_argmax = oracle(entries, free, 3)
+    strategy, success = ccp.optimal_classical_strategy(dense(entries, 3))
     total = sum(abs(c) for c in entries.values())
     assert success == Fraction(total + want_hi, 2 * total)
     assert rows(strategy) == want_argmax
@@ -419,13 +420,13 @@ def test_all_ones_twenty_party_table_in_time_and_memory():
     assert peak < 16 * 2 ** 20
 
 
-def test_padded_eight_party_table_searches_live_slots_only():
-    # one term A_1(1) ... A_8(1) on two settings, homogenized: padding to
-    # N_SETTINGS = 4 settings gives 24 free slots (2^24 strategies), of
-    # which the 8 on setting 1 carry support, so 2^8 are contracted; the
+def assert_searches_live_slots_only(n_parties):
+    # one term A_1(1) ... A_n(1) on two settings, homogenized: padding to
+    # N_SETTINGS = 4 settings gives 3n free slots (2^3n strategies), of
+    # which the n on setting 1 carry support, so 2^n are contracted; the
     # extrema are -+1 and the smallest maximizer is all ones
-    g = np.zeros((2,) * 8)
-    g[(1,) * 8] = 1.0
+    g = np.zeros((2,) * n_parties)
+    g[(1,) * n_parties] = 1.0
     hom = bell.homogenize(bell.Inequality(g, -1, 1))
     start = time.perf_counter()
     (lo, hi, argmax), peak = traced_extrema(hom)
@@ -433,7 +434,16 @@ def test_padded_eight_party_table_searches_live_slots_only():
     assert (lo, hi) == (-1, 1)
     assert all(v == 1 for row in argmax.a for v in row)
     assert peak < 16 * 2 ** 20
-    assert bell.search_strategies(*bell.strategy_space(hom))[3] == 2 ** 24
+    assert bell.search_strategies(hom.g, True)[3] == 2 ** (3 * n_parties)
+
+
+def test_padded_eight_party_table_searches_live_slots_only():
+    assert_searches_live_slots_only(8)
+
+
+def test_nine_party_table_passes_the_live_slot_guard():
+    # 2^27 free-slot strategies exceed MAX_STRATEGY_SPACE; the 2^9 live do not
+    assert_searches_live_slots_only(9)
 
 
 @given(st.integers(1, 10 ** 6), st.data())
