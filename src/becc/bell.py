@@ -298,8 +298,10 @@ def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
                ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The setting tuples of a support given as np.nonzero(g) index
     arrays, in that order, and the entries of a Born or correlation table
-    at them; a negative setting or one with no observable raises."""
+    at them; a fractional, negative or unobserved setting raises."""
     support = np.transpose(idx)
+    if support.dtype.kind not in "iu":
+        raise ValueError(f"setting tuple {tuple(support[0].tolist())} must hold integer settings")
     missing = (support < 0) | (support >= table.shape[:len(idx)])
     if missing.any():
         k, party = np.argwhere(missing)[0]

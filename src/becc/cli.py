@@ -26,18 +26,19 @@ def _round_floats(obj):
 
 
 def emit(data: dict, fmt: str) -> None:
-    """Print a report; a non-finite value in JSON raises ValueError (exit 1)."""
+    """Print a report with floats rounded to SIG_DIGITS; a non-finite value
+    raises ValueError (exit 1) in every format, before anything is printed."""
+    data = _round_floats(data)
+    text = json.dumps(data, allow_nan=False)
     if fmt == "json":
-        print(json.dumps(_round_floats(data), allow_nan=False))
+        print(text)
     elif fmt == "csv":
         print("key,value")
         for k, v in data.items():
-            if isinstance(v, (list, tuple, dict)):
-                v = json.dumps(_round_floats(v), allow_nan=False)
-            print(f"{k},{_round_floats(v)}")
+            print(f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}")
     else:
         for k, v in data.items():
-            print(f"{k}: {_round_floats(v)}")
+            print(f"{k}: {v}")
 
 
 def _add_run_args(p: argparse.ArgumentParser, **shots_kwargs) -> None:
@@ -114,7 +115,7 @@ def cmd_game_exact(args) -> int:
         "classical_bound": tables.ineq.upper_bound,
         "quantum_value": tables.quantum_value,
         "p_c": float(p_c),
-        "p_c_exact": f"{p_c.numerator}/{p_c.denominator}" if isinstance(p_c, Fraction) else p_c,
+        "p_c_exact": str(p_c),
         "p_q": p_q,
         "gap": p_q - float(p_c),
     }, args.format)

@@ -47,14 +47,14 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = tolerances.FLOAT) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending; of a stack, one
     ascending row per matrix, each as the matrix alone would give it.
 
-    Rejects matrices that are not Hermitian within ``tol``; a violation
-    here almost always means a construction bug upstream.
+    Rejects matrices that are not Hermitian within ``tolerances.FLOAT``; a
+    violation here almost always means a construction bug upstream.
     """
     dev = hermiticity_deviation(m)
-    if dev > tol:
+    if dev > tolerances.FLOAT:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(m)

@@ -16,6 +16,7 @@ substreams and the report is a pure function of
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from numbers import Integral
@@ -125,14 +126,9 @@ class GameTables:
         self.p_quantum_exact = ccp.exact_success_quantum(s, self.ineq.sum_abs())
 
 
-_DEFAULT_TABLES: GameTables | None = None
-
-
+@functools.cache
 def default_tables() -> GameTables:
-    global _DEFAULT_TABLES
-    if _DEFAULT_TABLES is None:
-        _DEFAULT_TABLES = GameTables()
-    return _DEFAULT_TABLES
+    return GameTables()
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

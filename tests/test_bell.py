@@ -248,10 +248,12 @@ class TestCorrelation:
         ((1, 1), "setting tuple (1, 1) has 2 settings for 3 parties"),
         ((1, 1, 1, 1), "setting tuple (1, 1, 1, 1) has 4 settings for 3 parties"),
         ((-1, 0, 0), "setting tuple (-1, 0, 0): party 1 has no observable for setting -1"),
-    ], ids=["short", "long", "negative"])
+        ((0.5, 0, 0), "setting tuple (0.5, 0.0, 0.0) must hold integer settings"),
+    ], ids=["short", "long", "negative", "fractional"])
     def test_rejects_malformed_tuple(self, rho, obs, view, x, message):
         # plain indexing would read a block of the table for a short tuple,
-        # an outcome entry for a long one, and wrap a negative setting round
+        # an outcome entry for a long one, wrap a negative setting round and
+        # raise IndexError for a fractional one
         with pytest.raises(ValueError, match=re.escape(message)):
             view(rho, obs, x)
 

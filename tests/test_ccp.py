@@ -91,6 +91,12 @@ class TestSuccessProbability:
         assert success_probability(8, 22) == Fraction(15, 22)
         assert float(success_probability(8, 22)) == pytest.approx(0.681818, abs=1e-6)
 
+    @pytest.mark.parametrize("value,total", [(8, 22.0), (8.0, 22)])
+    def test_one_float_input_gives_a_float(self, value, total):
+        # exact only when both inputs are integers
+        p = success_probability(value, total)
+        assert type(p) is float and p == pytest.approx(15 / 22, abs=1e-15)
+
     def test_quantum_headline(self):
         assert exact_success_quantum(8.00685, 22) == pytest.approx(0.681974, abs=1e-5)
 

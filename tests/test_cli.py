@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,11 +153,25 @@ class TestOutputContract:
         assert lines[0] == "key,value"
         assert any(line.startswith("p_c_exact,") for line in lines)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_json_is_an_error(self, fmt):
-        # main turns the ValueError into exit 1 instead of printing Infinity
-        with pytest.raises(ValueError):
-            emit({"z": [float("inf")]}, fmt)
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_non_finite_json_is_an_error(self, capsys, fmt):
+        # main turns the ValueError into exit 1 instead of printing Infinity;
+        # nothing is printed first, not even the CSV header
+        for data in ({"z": [float("inf")]}, {"ok": 1.0, "z": float("nan")}):
+            with pytest.raises(ValueError):
+                emit(data, fmt)
+            assert capsys.readouterr().out == ""
+
+    def test_command_value_error_exits_1(self, capsys, monkeypatch):
+        # 27 supported non-identity slots: the search refuses 2^27 strategies
+        g = np.zeros((10, 10, 10))
+        for s in range(1, 10):
+            g[s, 0, 0] = g[0, s, 0] = g[0, 0, s] = 1
+        monkeypatch.setattr(bell, "sliwa5", lambda: bell.Inequality(g, -27, 27))
+        code = main(["bell", "bounds", "--original"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: 27 live slots: 2^27 strategies too large to enumerate\n"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -189,16 +206,30 @@ class TestOutputContract:
         assert exc.value.code == 2
 
 
+def test_cold_import_leaves_numpy_random_unloaded():
+    # _shard_rng's return annotation would import numpy.random, a cost on
+    # every cold start, if it were evaluated; `from __future__ import
+    # annotations` keeps it a string
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, becc.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 GOLDEN = Path(__file__).parent / "golden"
 # outputs with no timing and no LAPACK-dependent digits; regenerate a file
 # with `becc <argv> > tests/golden/<name>` only when a change of output is meant
 GOLDEN_OUTPUTS = {
     "bell_bounds_original.json": ("bell", "bounds", "--original", "--format", "json"),
+    "bell_bounds_original.txt": ("bell", "bounds", "--original"),
     "bell_bounds_homogenized.json": ("bell", "bounds", "--homogenized", "--format", "json"),
     "bell_quantum_value.json": ("bell", "quantum-value", "--format", "json"),
     "bell_coefficients.json": ("bell", "coefficients"),
     "game_exact.json": ("game", "exact", "--format", "json"),
+    "game_exact.txt": ("game", "exact"),
     "reproduce_paper.json": ("reproduce-paper", "--format", "json"),
+    "reproduce_paper.txt": ("reproduce-paper",),
     "state_dump.json": ("state", "dump"),
 }
 

@@ -63,6 +63,11 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linalg.hermitian_eigenvalues(np.zeros(shape))
+
     def test_permutation_similarity_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from becc import bell, ccp, simulate, state
+from becc import bell, ccp, linalg, simulate, state, tolerances
 from becc.simulate import (
     GameTables,
     SimulationConfig,
@@ -296,6 +296,31 @@ class TestTextbookGames:
         report = run_protocol(SimulationConfig(shots=1_000_000, seed=0), textbook_tables("chsh"))
         p_q = math.cos(math.pi / 8) ** 2
         assert abs(report.empirical_probability - p_q) <= 5 * math.sqrt(p_q * (1 - p_q) / 1e6)
+
+
+def pt_minima(rho):
+    """Smallest eigenvalue of rho's partial transpose on each one-party cut."""
+    n = rho.shape[0].bit_length() - 1
+    return [linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, k, [2] * n))[0]
+            for k in range(1, n + 1)]
+
+
+class TestAbstractClaim:
+    """The textbook games are won with NPT states, the paper's with a PPT
+    one.  A state with a positive partial transpose on every cut cannot be
+    distilled (Peres, PRL 77, 1413 (1996); Horodecki, Horodecki & Horodecki,
+    PRL 80, 5239 (1998)), yet it still beats the classical protocol."""
+
+    @pytest.mark.parametrize("name", sorted(TEXTBOOK_GAMES))
+    def test_textbook_states_are_npt_on_every_cut(self, name):
+        t = textbook_tables(name)
+        # GHZ_n's partial transpose has eigenvalue -1/2, up to one ulp
+        assert pt_minima(t.rho) == pytest.approx([-0.5] * t.ineq.g.ndim, abs=1e-15)
+        assert t.p_quantum_exact > t.p_classical_exact
+
+    def test_paper_state_is_ppt_on_every_cut(self, tables):
+        assert all(e >= -tolerances.TRANSCRIPTION for e in pt_minima(tables.rho))
+        assert tables.p_quantum_exact > tables.p_classical_exact
 
 
 class TestGapExperiment:

@@ -26,6 +26,18 @@ class TestTranscription:
     def test_weights_sum_near_one(self):
         assert abs(sum(MIXTURE_WEIGHTS) - 1.0) < 1e-5
 
+    def test_mistyped_amplitude_rejected(self, monkeypatch):
+        amplitudes = list(PURE_STATE_AMPLITUDES)
+        amplitudes[1] = (0.5,) + amplitudes[1][1:]  # norm sqrt(1.25)
+        monkeypatch.setattr(state, "PURE_STATE_AMPLITUDES", tuple(amplitudes))
+        with pytest.raises(AssertionError, match="pure state 2 has norm 1.118"):
+            build_vb_state()
+
+    def test_mistyped_weight_rejected(self, monkeypatch):
+        monkeypatch.setattr(state, "MIXTURE_WEIGHTS", (0.1, 0.2, 0.3, 0.5))
+        with pytest.raises(AssertionError, match="mixture weights sum to 1.1"):
+            build_vb_state()
+
 
 class TestBuild:
     def test_unit_trace(self, rho):
