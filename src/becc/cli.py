@@ -15,27 +15,18 @@ from . import bell, simulate, state, tolerances
 SIG_DIGITS = 12
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.{SIG_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def emit(data: dict, fmt: str) -> None:
     """Print a report with floats rounded to SIG_DIGITS; a non-finite value
-    raises ValueError (exit 1) in every format, before anything is printed."""
-    data = _round_floats(data)
-    text = json.dumps(data, allow_nan=False)
+    raises ValueError (exit 1) in every format, before anything is printed.
+    In CSV a list or dict value is one quoted JSON cell."""
+    data = json.loads(json.dumps(data, allow_nan=False),
+                      parse_float=lambda s: float(f"{float(s):.{SIG_DIGITS}g}"))
     if fmt == "json":
-        print(text)
+        print(json.dumps(data))
     elif fmt == "csv":
-        print("key,value")
-        for k, v in data.items():
-            print(f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}")
+        import csv  # lazily: a cold start in the other formats skips it
+        rows = [(k, json.dumps(v) if isinstance(v, (list, dict)) else v) for k, v in data.items()]
+        csv.writer(sys.stdout, lineterminator="\n").writerows([("key", "value"), *rows])
     else:
         for k, v in data.items():
             print(f"{k}: {v}")
@@ -57,7 +48,7 @@ def cmd_state_validate(args) -> int:
     emit(report.to_dict(), args.format)
     ok = (
         report.trace_deviation <= tolerances.FLOAT
-        and report.min_eigenvalue >= -tolerances.PRINT_DIGIT
+        and report.min_eigenvalue >= -tolerances.FLOAT
         and report.pt_invariance_deviation <= tolerances.TRANSCRIPTION
         and report.permutation_symmetry_deviation <= tolerances.TRANSCRIPTION
         and all(e >= -tolerances.TRANSCRIPTION for e in report.pt_min_eigenvalues)
@@ -84,19 +75,16 @@ def cmd_bell_bounds(args) -> int:
 
 
 def cmd_bell_quantum_value(args) -> int:
-    corr = bell.correlations(bell.born_table(state.build_vb_state(),
-                                             bell.measurement_observables()))
-    hom = bell.homogenize(bell.sliwa5())
-    support, e = bell.on_support(corr, hom.g.nonzero())
-    s = bell.expression_value(hom.g, corr)
+    tables = simulate.default_tables()
+    s, bound, corr = tables.quantum_value, tables.ineq.upper_bound, tables.correlations
     emit({
         "quantum_value": s,
-        "classical_bound": hom.upper_bound,
-        "violation": s - hom.upper_bound,
+        "classical_bound": bound,
+        "violation": s - bound,
         "original_expression_value": bell.expression_value(bell.sliwa5().g, corr),
-        "correlations": {f"E{x}": float(v) for x, v in zip(support, e)},
+        "correlations": {f"E{x}": float(corr[x]) for x in tables.support},
     }, args.format)
-    return 0 if s > hom.upper_bound else 1
+    return 0 if s > bound else 1
 
 
 def cmd_bell_coefficients(args) -> int:
@@ -108,8 +96,7 @@ def cmd_bell_coefficients(args) -> int:
 
 def cmd_game_exact(args) -> int:
     tables = simulate.default_tables()
-    p_c = tables.p_classical_exact
-    p_q = tables.p_quantum_exact
+    p_c, p_q = tables.p_classical_exact, tables.p_quantum_exact
     emit({
         "sum_abs_g": tables.ineq.sum_abs(),
         "classical_bound": tables.ineq.upper_bound,
@@ -143,8 +130,7 @@ def cmd_reproduce_paper(args) -> int:
     orig_lo, orig_hi, _ = bell.classical_extrema(bell.sliwa5())
     hom_lo, hom_hi, _ = bell.classical_extrema(tables.ineq)
     s = tables.quantum_value
-    p_c = tables.p_classical_exact
-    p_q = tables.p_quantum_exact
+    p_c, p_q = tables.p_classical_exact, tables.p_quantum_exact
 
     checks = {
         "B_orig_min": {"value": orig_lo, "expected": -13, "pass": orig_lo == -13},

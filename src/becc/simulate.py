@@ -95,7 +95,8 @@ class GameTables:
     Q(x), the target signs, and per protocol an outcome table P(a|x) over
     (support, n-bit outcome): Born-rule pmfs for "quantum", a one-hot row
     at the optimal strategy's answer for "classical".  ``win[x, a]`` marks
-    the cells where the guess equals the target.
+    the cells where the guess equals the target; ``correlations`` is the
+    table E(x) behind the quantum value S.
     """
 
     def __init__(self, rho=None, obs=None, ineq: bell.Inequality = None):
@@ -105,12 +106,11 @@ class GameTables:
 
         g = self.ineq.g
         idx = np.nonzero(g)  # the support as index arrays
-        # one Born contraction gives both the outcome tables and S
+        # one Born contraction gives the outcome tables, the correlations and S
         born = bell.born_table(self.rho, self.obs)
         self.support, quantum_pmf = bell.on_support(born, idx)
-        coefficients = g[idx]
-        self.q_support = np.abs(coefficients) / self.ineq.sum_abs()  # Q(x) on the support
-        self.target_sign = np.where(coefficients > 0, 1, -1)
+        self.q_support = ccp.input_distribution(g)[idx]
+        self.target_sign = np.where(g[idx] > 0, 1, -1)
         outcomes = bell.outcome_signs(g.ndim)
         self.win = outcomes.prod(axis=1) == self.target_sign[:, None]
 
@@ -122,13 +122,19 @@ class GameTables:
             "classical": (answers[:, None] == outcomes).all(axis=-1).astype(float),
         }
 
-        s = self.quantum_value = bell.expression_value(g, bell.correlations(born))
+        self.correlations = bell.correlations(born)
+        s = self.quantum_value = bell.expression_value(g, self.correlations)
         self.p_quantum_exact = ccp.exact_success_quantum(s, self.ineq.sum_abs())
 
 
 @functools.cache
 def default_tables() -> GameTables:
-    return GameTables()
+    """The built-in game, built once and shared by every caller, so read-only."""
+    t = GameTables()
+    for a in (t.rho, t.ineq.g, t.q_support, t.target_sign, t.win, t.correlations,
+              *t.outcome_pmf.values()):
+        a.flags.writeable = False
+    return t
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

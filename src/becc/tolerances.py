@@ -7,16 +7,13 @@ weights (each printed number is off by up to 5e-7, which moves the
 entries of the density matrix by ~1e-6).
 """
 
-# arithmetic: trace and Hermiticity of a built matrix, Born probabilities
-# summing to 1, imaginary parts of expectation values, |E| <= 1
+# arithmetic: trace, Hermiticity and smallest eigenvalue of the state (a
+# renormalized mixture, so PSD whatever the printed digits), Born
+# probabilities summing to 1, imaginary parts of expectation values, |E| <= 1
 FLOAT = 1e-9
 # arithmetic: a Born probability this close below zero is rounding and is
 # clamped to 0; anything more negative means a non-positive state
 NEGATIVITY = 1e-12
-# transcription: one unit in the sixth printed decimal; the smallest
-# eigenvalue of the state (rank 4, so four eigenvalues are zero) must not
-# fall below minus this
-PRINT_DIGIT = 1e-6
 # transcription: permutation symmetry, invariance under partial transpose
 # and positivity of the partial transposes, and the sum of the printed
 # mixture weights

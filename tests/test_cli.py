@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from becc import bell
+from becc import bell, state
 from becc.cli import emit, main
 
 
@@ -25,6 +26,15 @@ class TestStateCommands:
         doc = json.loads(out)
         assert doc["pt_invariance_deviation"] <= 1e-6
         assert doc["permutation_symmetry_deviation"] <= 1e-5
+
+    def test_validate_rejects_negative_eigenvalue(self, capsys, monkeypatch):
+        # rho is a mixture of pure states with positive weights, so PSD up
+        # to rounding: -1e-8 is far beyond FLOAT
+        validate = state.validate_state
+        monkeypatch.setattr(state, "validate_state",
+                            lambda rho: validate(rho)._replace(min_eigenvalue=-1e-8))
+        code, _ = run(capsys, "state", "validate", "--format", "json")
+        assert code == 1
 
     def test_dump_parses(self, capsys):
         code, out = run(capsys, "state", "dump")
@@ -153,6 +163,34 @@ class TestOutputContract:
         assert lines[0] == "key,value"
         assert any(line.startswith("p_c_exact,") for line in lines)
 
+    @pytest.mark.parametrize("argv", [
+        ("state", "validate"),
+        ("bell", "bounds", "--original"),
+        ("bell", "bounds", "--homogenized"),
+        ("bell", "quantum-value"),
+        ("game", "exact"),
+        ("game", "simulate", "--protocol", "quantum", "--shots", "1000"),
+        ("game", "gap", "--shots", "1000"),
+        ("reproduce-paper",),
+    ], ids=" ".join)
+    def test_csv_rows_are_key_value_pairs(self, capsys, argv):
+        # a list or dict value is one quoted JSON cell; a scalar row is
+        # printed as key,value
+        _, out = run(capsys, *argv, "--format", "csv")
+        _, doc = run(capsys, *argv, "--format", "json")
+        doc = json.loads(doc)
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert [k for k, _ in rows[1:]] == list(doc)
+        for line, (k, cell) in zip(out.splitlines()[1:], rows[1:]):
+            if k == "wall_time":  # timing differs between the two runs
+                continue
+            if isinstance(doc[k], (list, dict)):
+                assert json.loads(cell) == doc[k]
+            else:
+                assert line == f"{k},{doc[k]}"
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
     def test_non_finite_json_is_an_error(self, capsys, fmt):
         # main turns the ValueError into exit 1 instead of printing Infinity;
@@ -206,14 +244,15 @@ class TestOutputContract:
         assert exc.value.code == 2
 
 
-def test_cold_import_leaves_numpy_random_unloaded():
-    # _shard_rng's return annotation would import numpy.random, a cost on
-    # every cold start, if it were evaluated; `from __future__ import
-    # annotations` keeps it a string
+@pytest.mark.parametrize("module", ["numpy.random", "csv"])
+def test_cold_import_leaves_module_unloaded(module):
+    # numpy.random: _shard_rng's return annotation would import it on every
+    # cold start if it were evaluated; `from __future__ import annotations`
+    # keeps it a string.  csv: emit imports it only for --format csv
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, becc.cli; sys.exit('numpy.random' in sys.modules)"
+    code = f"import sys, becc.cli; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -115,6 +115,22 @@ class TestTables:
             assert pi.sum() == pytest.approx(1.0, abs=1e-15)
             assert pi[tables.win].sum() == pytest.approx(exact, abs=1e-15)
 
+    def test_shared_tables_are_read_only(self, tables):
+        # every caller gets the one cached object; each write puts back the
+        # entry's own value, so a write that went through would change nothing
+        for a in (tables.rho, tables.ineq.g, tables.q_support, tables.target_sign,
+                  tables.win, tables.correlations, *tables.outcome_pmf.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+        config = SimulationConfig(1_000_000, seed=3, shards=3)
+        assert run_protocol(config, tables).successes == 681957
+
+    def test_caller_arrays_stay_writeable(self, rho, obs):
+        ineq = bell.homogenize(bell.sliwa5())
+        own = GameTables(rho=rho, obs=obs, ineq=ineq)
+        assert rho.flags.writeable and ineq.g.flags.writeable
+        assert own.q_support.flags.writeable and own.correlations.flags.writeable
+
     def test_rejects_setting_without_observable(self, obs):
         g = bell.homogenize(bell.sliwa5()).g.copy()
         g[0, 3, 0] = 1
