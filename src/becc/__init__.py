@@ -3,8 +3,8 @@ that reads the number of parties from its inputs.
 
 Submodules:
     tolerances -- every numerical tolerance, with its reason
-    linalg     -- partial transpose and Hermitian spectra of small
-                  matrices, for the state's certificates
+    linalg     -- Hermitian spectra for `state`, and the reference partial
+                  transpose that the tests and the benchmark compare against
     state      -- the shared 3-qubit bound entangled state and its
                   certificates
     bell       -- Bell inequalities, classical bounds by enumeration, Born
@@ -12,7 +12,8 @@ Submodules:
     ccp        -- the communication game: input distribution, target,
                   exact success probabilities
     simulate   -- seeded Monte Carlo runs of both protocols
-    cli        -- command-line front end (`becc`)
+    cli        -- command-line front end (`becc`): one table of subcommands
+                  whose handlers return a report and a verdict
 """
 
 __version__ = "0.1.0"

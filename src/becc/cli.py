@@ -1,7 +1,7 @@
-"""Command-line front end: every headline number behind one subcommand.
-
-Exit codes: 0 success, 1 a computed value violates its contract,
-2 usage error (argparse default).
+"""Command-line front end: every headline number behind one subcommand, one
+row of COMMANDS.  A handler returns (report, ok); main, the one exit path,
+prints the report in --format and exits 0 if ok, 1 if not or on a
+ValueError, and 2 on a usage error (argparse default).
 """
 from __future__ import annotations
 
@@ -32,72 +32,57 @@ def emit(data: dict, fmt: str) -> None:
             print(f"{k}: {v}")
 
 
-def _add_run_args(p: argparse.ArgumentParser, **shots_kwargs) -> None:
-    """Run arguments; main checks their limits through SimulationConfig."""
-    p.add_argument("--shots", type=int, **shots_kwargs)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-
-
-def cmd_state_validate(args) -> int:
+def cmd_state_validate(args) -> tuple[dict, bool]:
     report = state.validate_state(state.build_vb_state())
-    emit(report.to_dict(), args.format)
-    ok = (
+    return report.to_dict(), (
         report.trace_deviation <= tolerances.FLOAT
         and report.min_eigenvalue >= -tolerances.FLOAT
         and report.pt_invariance_deviation <= tolerances.TRANSCRIPTION
         and report.permutation_symmetry_deviation <= tolerances.TRANSCRIPTION
         and all(e >= -tolerances.TRANSCRIPTION for e in report.pt_min_eigenvalues)
     )
-    return 0 if ok else 1
 
 
-def cmd_state_dump(args) -> int:
+# the raw-JSON commands print their own full-precision JSON and return None:
+# no --format and no rounding (the state_dump.json golden pins the digits)
+def cmd_state_dump(args) -> None:
     print(state.state_to_json(state.build_vb_state()))
-    return 0
 
 
-def cmd_bell_bounds(args) -> int:
+def cmd_bell_coefficients(args) -> None:
+    hom = bell.homogenize(bell.sliwa5())
+    print(json.dumps({"n": hom.g.ndim, "settings": hom.g.shape[0], "g": hom.g.tolist(),
+                      "bound": hom.upper_bound}))
+
+
+def cmd_bell_bounds(args) -> tuple[dict, bool]:
     ineq = bell.sliwa5() if args.original else bell.homogenize(bell.sliwa5())
     lo, hi, argmax, enumerated = bell.search_strategies(ineq.g, True)
-    emit({
+    return {
         "form": "original" if args.original else "homogenized",
         "min": lo,
         "max": hi,
         "strategies_enumerated": enumerated,
         "argmax_strategy": [list(row) for row in argmax.a],
-    }, args.format)
-    return 0
+    }, True
 
 
-def cmd_bell_quantum_value(args) -> int:
+def cmd_bell_quantum_value(args) -> tuple[dict, bool]:
     tables = simulate.default_tables()
     s, bound, corr = tables.quantum_value, tables.ineq.upper_bound, tables.correlations
-    emit({
+    return {
         "quantum_value": s,
         "classical_bound": bound,
         "violation": s - bound,
         "original_expression_value": bell.expression_value(bell.sliwa5().g, corr),
         "correlations": {f"E{x}": float(corr[x]) for x in tables.support},
-    }, args.format)
-    return 0 if s > bound else 1
+    }, s > bound
 
 
-def cmd_bell_coefficients(args) -> int:
-    hom = bell.homogenize(bell.sliwa5())
-    print(json.dumps({"n": hom.g.ndim, "settings": hom.g.shape[0], "g": hom.g.tolist(),
-                      "bound": hom.upper_bound}))
-    return 0
-
-
-def cmd_game_exact(args) -> int:
+def cmd_game_exact(args) -> tuple[dict, bool]:
     tables = simulate.default_tables()
     p_c, p_q = tables.p_classical_exact, tables.p_quantum_exact
-    emit({
+    return {
         "sum_abs_g": tables.ineq.sum_abs(),
         "classical_bound": tables.ineq.upper_bound,
         "quantum_value": tables.quantum_value,
@@ -105,27 +90,23 @@ def cmd_game_exact(args) -> int:
         "p_c_exact": str(p_c),
         "p_q": p_q,
         "gap": p_q - float(p_c),
-    }, args.format)
-    return 0 if p_q > p_c else 1
+    }, p_q > p_c
 
 
-def cmd_game_simulate(args) -> int:
-    report = simulate.run_protocol(args.config)
-    emit(report.to_dict(), args.format)
-    return 0
+def cmd_game_simulate(args) -> tuple[dict, bool]:
+    return simulate.run_protocol(args.config).to_dict(), True
 
 
-def cmd_game_gap(args) -> int:
+def cmd_game_gap(args) -> tuple[dict, bool]:
     c = args.config
     report = simulate.gap_experiment(c.shots, seed=c.seed, shards=c.shards)
     if report.underpowered:
         print("warning: shot count too low to resolve the quantum-classical gap",
               file=sys.stderr)
-    emit(report.to_dict(), args.format)
-    return 0
+    return report.to_dict(), True
 
 
-def cmd_reproduce_paper(args) -> int:
+def cmd_reproduce_paper(args) -> tuple[dict, bool]:
     tables = simulate.default_tables()
     orig_lo, orig_hi, _ = bell.classical_extrema(bell.sliwa5())
     hom_lo, hom_hi, _ = bell.classical_extrema(tables.ineq)
@@ -144,8 +125,24 @@ def cmd_reproduce_paper(args) -> int:
                 "pass": abs(p_q - 0.681974) <= 1e-4},
     }
     all_pass = all(c["pass"] for c in checks.values())
-    emit({**checks, "all_pass": all_pass}, args.format)
-    return 0 if all_pass else 1
+    return {**checks, "all_pass": all_pass}, all_pass
+
+
+GROUPS = {"state": "build and certify the shared state",
+          "bell": "Bell inequality bounds and quantum value",
+          "game": "the communication complexity game"}
+# (group, name, help, handler); group None is a top-level command
+COMMANDS = (
+    ("state", "validate", "certificate report for the built-in state", cmd_state_validate),
+    ("state", "dump", "density matrix as JSON [re, im] pairs", cmd_state_dump),
+    ("bell", "bounds", "classical extrema by enumeration", cmd_bell_bounds),
+    ("bell", "quantum-value", "Bell expression value on the state", cmd_bell_quantum_value),
+    ("bell", "coefficients", "the 4x4x4 coefficient table as JSON", cmd_bell_coefficients),
+    ("game", "exact", "exact success probabilities", cmd_game_exact),
+    ("game", "simulate", "Monte Carlo protocol run", cmd_game_simulate),
+    ("game", "gap", "quantum simulation vs exact classical optimum", cmd_game_gap),
+    (None, "reproduce-paper", "all headline numbers with pass/fail flags", cmd_reproduce_paper),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,49 +151,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bound-entanglement communication complexity: exact values, "
                     "Bell bounds and Monte Carlo simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parents = {None: sub, **{
+        group: sub.add_parser(group, help=text).add_subparsers(dest="subcommand", required=True)
+        for group, text in GROUPS.items()}}
+    leaves = {}
+    for group, name, text, func in COMMANDS:
+        p = leaves[name] = parents[group].add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if func not in (cmd_state_dump, cmd_bell_coefficients):  # the raw-JSON commands
+            p.add_argument("--format", choices=("human", "json", "csv"), default="human")
 
-    p_state = sub.add_parser("state", help="build and certify the shared state")
-    state_sub = p_state.add_subparsers(dest="subcommand", required=True)
-    p = state_sub.add_parser("validate", help="certificate report for the built-in state")
-    _add_format(p)
-    p.set_defaults(func=cmd_state_validate)
-    p = state_sub.add_parser("dump", help="density matrix as JSON [re, im] pairs")
-    p.set_defaults(func=cmd_state_dump)
-
-    p_bell = sub.add_parser("bell", help="Bell inequality bounds and quantum value")
-    bell_sub = p_bell.add_subparsers(dest="subcommand", required=True)
-    p = bell_sub.add_parser("bounds", help="classical extrema by enumeration")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--original", action="store_true")
-    group.add_argument("--homogenized", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=cmd_bell_bounds)
-    p = bell_sub.add_parser("quantum-value", help="Bell expression value on the state")
-    _add_format(p)
-    p.set_defaults(func=cmd_bell_quantum_value)
-    p = bell_sub.add_parser("coefficients", help="the 4x4x4 coefficient table as JSON")
-    p.set_defaults(func=cmd_bell_coefficients)
-
-    p_game = sub.add_parser("game", help="the communication complexity game")
-    game_sub = p_game.add_subparsers(dest="subcommand", required=True)
-    p = game_sub.add_parser("exact", help="exact success probabilities")
-    _add_format(p)
-    p.set_defaults(func=cmd_game_exact)
-    p = game_sub.add_parser("simulate", help="Monte Carlo protocol run")
-    p.add_argument("--protocol", choices=("classical", "quantum"), required=True)
-    _add_run_args(p, default=1_000_000)
-    _add_format(p)
-    p.set_defaults(func=cmd_game_simulate)
-    p = game_sub.add_parser("gap", help="quantum simulation vs exact classical optimum")
-    _add_run_args(p, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_game_gap)
-
-    p = sub.add_parser("reproduce-paper",
-                       help="all headline numbers with pass/fail flags")
-    _add_format(p)
-    p.set_defaults(func=cmd_reproduce_paper)
-
+    exclusive = leaves["bounds"].add_mutually_exclusive_group()
+    exclusive.add_argument("--original", action="store_true")
+    exclusive.add_argument("--homogenized", action="store_true")
+    leaves["simulate"].add_argument("--protocol", choices=("classical", "quantum"), required=True)
+    # run arguments; main checks their limits through SimulationConfig
+    for name, shots in (("simulate", {"default": 1_000_000}), ("gap", {"required": True})):
+        leaves[name].add_argument("--shots", type=int, **shots)
+        leaves[name].add_argument("--seed", type=int, default=0)
+        leaves[name].add_argument("--shards", type=int, default=1)
     return parser
 
 
@@ -212,10 +185,15 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is None:  # a raw-JSON command has printed its output
+            return 0
+        report, ok = result
+        emit(report, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -186,15 +186,18 @@ def gap_experiment(shots: int, seed: int = 0, shards: int = 1,
 
     z is the score test of p_hat against the classical null P_C,
     (p_hat - P_C) / sqrt(P_C (1 - P_C) / shots): its spread comes from P_C,
-    not from the sample, so it is finite for every run.  A run is flagged
+    not from the sample, so it is finite for every run when P_C < 1 (at
+    P_C = 1 the test is undefined: ValueError).  A run is flagged
     underpowered when sqrt(p(1-p)/shots) is not below a quarter of the
     exact quantum-classical gap, i.e. when z cannot be expected to reach ~4.
     """
     tables = tables or default_tables()
+    p_c = float(tables.p_classical_exact)
+    if p_c == 1:
+        raise ValueError("P_C = 1: the score test against the classical optimum is undefined")
     report = run_protocol(
         SimulationConfig(shots=shots, seed=seed, protocol="quantum", shards=shards),
         tables)
-    p_c = float(tables.p_classical_exact)
     p_q = tables.p_quantum_exact
     gap = p_q - p_c
     expected_stderr = math.sqrt(p_q * (1.0 - p_q) / shots)

@@ -47,7 +47,7 @@ class StateReport(NamedTuple):
 
 def _check_transcription(norms) -> None:
     for i, norm in enumerate(norms):
-        if abs(norm - 1.0) > tolerances.KET_NORM:
+        if abs(norm - 1.0) > tolerances.TRANSCRIPTION:
             raise AssertionError(f"pure state {i + 1} has norm {norm}")
     if abs(sum(MIXTURE_WEIGHTS) - 1.0) > tolerances.TRANSCRIPTION:
         raise AssertionError(f"mixture weights sum to {sum(MIXTURE_WEIGHTS)}")

@@ -15,9 +15,7 @@ FLOAT = 1e-9
 # clamped to 0; anything more negative means a non-positive state
 NEGATIVITY = 1e-12
 # transcription: permutation symmetry, invariance under partial transpose
-# and positivity of the partial transposes, and the sum of the printed
-# mixture weights
+# and positivity of the partial transposes, the sum of the printed mixture
+# weights and each printed ket's norm (eight amplitudes, each off by up to
+# 5e-7, move it by at most 1.4e-6); a larger deviation is a mistyped number
 TRANSCRIPTION = 1e-5
-# transcription: norm of each printed pure state (eight amplitudes, each
-# rounded); a larger deviation means a mistyped amplitude
-KET_NORM = 1e-4

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from becc import bell, state
+from becc import bell, simulate, state
 from becc.cli import emit, main
 
 
@@ -150,6 +150,36 @@ class TestReproduce:
                    ("B_orig_min", "B_orig_max", "B_hom", "S", "P_C", "P_Q"))
 
 
+class TestVerdicts:
+    # |000><000| gives S = 7.2558 < 8 and P_Q = 0.6649 < P_C = 15/22: every
+    # quantum contract breaks, while the bounds and P_C, which do not read
+    # the state, still hold
+    @pytest.fixture(autouse=True)
+    def product_state(self, monkeypatch):
+        rho = np.zeros((8, 8))
+        rho[0, 0] = 1
+        tables = simulate.GameTables(rho=rho)
+        assert tables.quantum_value == pytest.approx(7.2558, abs=1e-4)
+        assert tables.p_quantum_exact == pytest.approx(0.6649, abs=1e-4)
+        monkeypatch.setattr(simulate, "default_tables", lambda: tables)
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("bell", "quantum-value"), "bell_quantum_value.json"),
+        (("game", "exact"), "game_exact.json"),
+        (("reproduce-paper",), "reproduce_paper.json"),
+    ], ids=["bell quantum-value", "game exact", "reproduce-paper"])
+    def test_broken_contract_exits_1_with_whole_report(self, capsys, argv, golden):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert list(json.loads(out)) == list(json.loads((GOLDEN / golden).read_text()))
+
+    def test_reproduce_fails_only_the_quantum_checks(self, capsys):
+        _, out = run(capsys, "reproduce-paper", "--format", "json")
+        doc = json.loads(out)
+        assert doc["all_pass"] is False
+        assert [k for k, v in doc.items() if k != "all_pass" and not v["pass"]] == ["S", "P_Q"]
+
+
 class TestOutputContract:
     def test_json_reserialization_idempotent(self, capsys):
         _, out = run(capsys, "game", "exact", "--format", "json")
@@ -217,9 +247,16 @@ class TestOutputContract:
         assert exc.value.code == 2
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["game", "exact", "--bogus"])
-        assert exc.value.code == 2
+        # each subcommand takes its own options and no other: the raw-JSON
+        # commands have no --format, and only simulate takes --protocol
+        for argv in (["game", "exact", "--bogus"],
+                     ["state", "dump", "--format", "json"],
+                     ["bell", "coefficients", "--format", "json"],
+                     ["bell", "bounds", "--original", "--homogenized"],
+                     ["game", "exact", "--protocol", "quantum"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     @pytest.mark.parametrize("argv", [
         ("game", "simulate", "--protocol", "quantum", "--shots", "0"),
@@ -237,11 +274,22 @@ class TestOutputContract:
          "--shards", "4"),
         ("game", "simulate", "--protocol", "classical", "--shots", str(2**65),
          "--shards", "8"),
+        # --protocol is required by simulate, --shots by gap
+        ("game", "simulate", "--shots", "1000"),
+        ("game", "gap", "--seed", "0"),
     ])
     def test_bad_run_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+
+def test_console_script_is_main():
+    # the `becc` command that pip installs runs cli.main
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["scripts"]["becc"] == "becc.cli:main"
 
 
 @pytest.mark.parametrize("module", ["numpy.random", "csv"])

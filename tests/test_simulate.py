@@ -372,3 +372,13 @@ class TestGapExperiment:
     def test_json(self, tables):
         doc = json.loads(json.dumps(gap_experiment(1000, seed=0, tables=tables).to_dict()))
         assert "z_vs_classical" in doc and "underpowered" in doc
+
+    def test_certain_classical_win_is_an_error(self):
+        # one term g[1,1,1] = 1: the classical protocol always wins, P_C = 1,
+        # and the score test's spread sqrt(P_C (1 - P_C) / shots) is 0
+        g = np.zeros((2, 2, 2))
+        g[1, 1, 1] = 1
+        tables = GameTables(ineq=bell.Inequality(g, -1, 1))
+        assert tables.p_classical_exact == 1
+        with pytest.raises(ValueError, match="P_C = 1: the score test"):
+            gap_experiment(1000, tables=tables)

@@ -21,7 +21,7 @@ def rho():
 class TestTranscription:
     def test_pure_state_norms_near_one(self):
         for amps in PURE_STATE_AMPLITUDES:
-            assert abs(np.linalg.norm(amps) - 1.0) < 1e-4
+            assert abs(np.linalg.norm(amps) - 1.0) < 1e-5
 
     def test_weights_sum_near_one(self):
         assert abs(sum(MIXTURE_WEIGHTS) - 1.0) < 1e-5
@@ -31,6 +31,15 @@ class TestTranscription:
         amplitudes[1] = (0.5,) + amplitudes[1][1:]  # norm sqrt(1.25)
         monkeypatch.setattr(state, "PURE_STATE_AMPLITUDES", tuple(amplitudes))
         with pytest.raises(AssertionError, match="pure state 2 has norm 1.118"):
+            build_vb_state()
+
+    def test_one_digit_amplitude_slip_rejected(self, monkeypatch):
+        # 0.183013 -> 0.183113 moves the norm by 1.8e-5: beyond TRANSCRIPTION,
+        # while the printing alone moves a norm by at most 1.4e-6
+        amplitudes = list(PURE_STATE_AMPLITUDES)
+        amplitudes[0] = (0.183113,) + amplitudes[0][1:]
+        monkeypatch.setattr(state, "PURE_STATE_AMPLITUDES", tuple(amplitudes))
+        with pytest.raises(AssertionError, match="pure state 1 has norm 1.00001"):
             build_vb_state()
 
     def test_mistyped_weight_rejected(self, monkeypatch):
