@@ -5,8 +5,8 @@ Submodules:
     tolerances -- every numerical tolerance, with its reason
     linalg     -- Hermitian spectra for `state`, and the reference partial
                   transpose that the tests and the benchmark compare against
-    state      -- the shared 3-qubit bound entangled state and its
-                  certificates
+    state      -- the shared 3-qubit bound entangled state, and the
+                  certificates of any 2-5 qubit state on every bipartition
     bell       -- Bell inequalities, classical bounds by enumeration, Born
                   probabilities, quantum values; the paper's 3-party game
     ccp        -- the communication game: input distribution, target,

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for few-qubit states.
 
-Everything here works on small (<= 8x8) numpy arrays of complex (or real)
+Everything here works on small (<= 32x32) numpy arrays of complex (or real)
 dtype, or on stacks of them along leading axes.  All functions are pure
 and never mutate their arguments.
 """

@@ -41,7 +41,7 @@ class SimulationConfig(NamedTuple("SimulationConfig", [("shots", int), ("seed", 
 
     def __new__(cls, shots, seed=0, protocol="quantum", shards=1):
         for name, value in (("shots", shots), ("seed", seed), ("shards", shards)):
-            if not isinstance(value, Integral):
+            if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= shots <= MAX_SHOTS:
             raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
@@ -52,7 +52,7 @@ class SimulationConfig(NamedTuple("SimulationConfig", [("shots", int), ("seed", 
                              f"got {shards}")
         if protocol not in ("classical", "quantum"):
             raise ValueError(f"unknown protocol {protocol!r}")
-        return super().__new__(cls, shots, seed, protocol, shards)
+        return super().__new__(cls, int(shots), int(seed), protocol, int(shards))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 

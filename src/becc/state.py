@@ -11,6 +11,7 @@ b = 4*b1 + 2*b2 + b3 corresponds to |b1 b2 b3>.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import NamedTuple
@@ -39,7 +40,7 @@ class StateReport(NamedTuple):
     min_eigenvalue: float
     permutation_symmetry_deviation: float
     pt_invariance_deviation: float
-    pt_min_eigenvalues: tuple[float, float, float]
+    pt_min_eigenvalues: tuple[float, ...]
 
     def to_dict(self) -> dict:
         return self._asdict()
@@ -71,32 +72,37 @@ def build_vb_state() -> np.ndarray:
     return (weights * (kets[:, :, None] * kets.conj()[:, None, :]).real).sum(axis=0)
 
 
-# gathers from rho.reshape(64), built on its (2,)*6 view, where axes k and
-# 3 + k are party k's row and column: _PT gives rho and its three partial
-# transposes (party k's two axes swapped), _PERMUTED the six party
-# permutations (row and column axes reordered alike)
-_T = np.arange(64).reshape((2,) * 6)
-_PT = np.stack([_T] + [_T.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
-_PERMUTED = np.stack([_T.transpose(p + tuple(3 + i for i in p))
-                      for p in itertools.permutations(range(3))]).reshape(6, 8, 8)
+@functools.cache
+def _gathers(n: int) -> np.ndarray:
+    """Indices into rho.reshape(-1), on its (2,)*2n view (party k's axes k, n + k):
+    rho; the partial transpose of every bipartition (the smaller side, or of two
+    equal halves the one holding party 1); every party permutation (rows, columns alike)."""
+    t = np.arange(4 ** n).reshape((2,) * 2 * n)
+    sides = [s for r in range(1, n // 2 + 1) for s in itertools.combinations(range(n), r)
+             if 2 * r < n or 0 in s]
+    views = [t] + [t.transpose([(k + n * (k % n in s)) % (2 * n) for k in range(2 * n)])
+                   for s in sides]
+    views += [t.transpose(p + tuple(n + i for i in p)) for p in itertools.permutations(range(n))]
+    return np.stack(views).reshape(-1, 2 ** n, 2 ** n)
 
 
 def validate_state(rho: np.ndarray) -> StateReport:
-    """Measure every checkable certificate of a candidate 3-qubit state;
-    rho and its partial transposes are diagonalized as one stack."""
+    """Measure every certificate of an n-qubit state, 2 <= n <= 5; rho and
+    its partial transposes on all 2^(n-1) - 1 cuts are diagonalized as one stack."""
     rho = np.asarray(rho)
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got {rho.shape}")
-
-    flat = rho.reshape(64)
-    stack = flat[_PT]
-    eigs = linalg.hermitian_eigenvalues(stack)
+    n = (rho.size.bit_length() - 1) // 2
+    # the n! permutations set the cap: at n = 6 the cached indices take ~24 MB
+    if not 2 <= n <= 5 or rho.shape != (2 ** n,) * 2:
+        raise ValueError(f"expected a 2^n x 2^n matrix, 2 <= n <= 5, got shape {rho.shape}")
+    views = rho.reshape(-1)[_gathers(n)]
+    n_pt = 2 ** (n - 1)  # rho and its 2^(n-1) - 1 partial transposes
+    eigs = linalg.hermitian_eigenvalues(views[:n_pt])
     return StateReport(
         trace_deviation=abs(float(np.trace(rho).real) - 1.0),
         hermiticity_deviation=linalg.hermiticity_deviation(rho),
         min_eigenvalue=float(eigs[0, 0]),
-        permutation_symmetry_deviation=float(np.abs(flat[_PERMUTED] - rho).max()),
-        pt_invariance_deviation=float(np.abs(stack[3] - rho).max()),
+        permutation_symmetry_deviation=float(np.abs(views[n_pt:] - rho).max()),
+        pt_invariance_deviation=float(np.abs(views[1:n_pt] - rho).max()),
         pt_min_eigenvalues=tuple(eigs[1:, 0].tolist()),
     )
 

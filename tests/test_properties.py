@@ -179,19 +179,34 @@ def test_born_outputs_on_random_states(seed, entries):
     assert abs(bell.quantum_value(ineq, rho, obs)) <= ineq.sum_abs()
 
 
+def cut_sides(n):
+    """Oracle: one side of each bipartition of n parties, the smaller one
+    (of two equal halves, the one holding party 1), by size, then in order."""
+    sides = set()
+    for size in range(1, n):
+        for side in itertools.combinations(range(n), size):
+            rest = tuple(k for k in range(n) if k not in side)
+            sides.add(min(side, rest, key=lambda s: (len(s), 0 not in s)))
+    return sorted(sides, key=lambda s: (len(s), s))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_stacked_certificates_match_one_matrix_oracle(seed, real):
-    # validate_state diagonalizes rho and its three partial transposes as
-    # one stack; each must equal what that matrix alone gives, bit for bit
-    rho = ginibre_state(np.random.default_rng(seed))
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(2, 4))
+def test_stacked_certificates_match_one_matrix_oracle(seed, real, n):
+    # validate_state diagonalizes rho and its partial transpose on every cut
+    # as one stack; each must equal what that matrix alone gives, bit for
+    # bit.  A cut's transpose here is linalg.partial_transpose applied once
+    # per party on its side: twice for the two-party cuts of n = 4.
+    rho = ginibre_state(np.random.default_rng(seed), n)
     if real:
         rho = rho.real
     report = state.validate_state(rho)
-    pts = [linalg.partial_transpose(rho, party, [2, 2, 2]) for party in (1, 2, 3)]
+    pts = [functools.reduce(lambda m, k: linalg.partial_transpose(m, k + 1, [2] * n), side, rho)
+           for side in cut_sides(n)]
+    assert len(pts) == 2 ** (n - 1) - 1
     assert report.min_eigenvalue == float(np.linalg.eigvalsh(rho)[0])
     assert report.pt_min_eigenvalues == tuple(float(np.linalg.eigvalsh(m)[0]) for m in pts)
-    assert report.pt_invariance_deviation == float(np.abs(pts[2] - rho).max())
+    assert report.pt_invariance_deviation == max(float(np.abs(m - rho).max()) for m in pts)
     assert report.hermiticity_deviation == float(np.abs(rho - rho.conj().T).max())
     assert report.trace_deviation == abs(float(np.trace(rho).real) - 1.0)
     stacked = linalg.hermitian_eigenvalues(np.stack([rho, *pts]))
@@ -209,9 +224,10 @@ def test_stacked_certificates_reject_bad_state(entry, match):
         state.validate_state(rho)
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (2, 8, 8), (64,), (8, 4)])
+# one 2^n x 2^n matrix, 2 <= n <= 5: (64, 64) is six qubits, over the cap
+@pytest.mark.parametrize("shape", [(2, 2), (2, 8, 8), (64,), (8, 4), (64, 64), (6, 6)])
 def test_certificates_need_one_8x8_matrix(shape):
-    with pytest.raises(ValueError, match="8x8"):
+    with pytest.raises(ValueError, match=r"2\^n x 2\^n matrix, 2 <= n <= 5"):
         state.validate_state(np.zeros(shape))
 
 
@@ -227,14 +243,17 @@ def loop_build(amplitudes, weights):
     return rho
 
 
-def transposed_stacks(rho):
-    """Oracle: rho and its three partial transposes, and its six party
-    permutations, each made by swapping or reordering axes of rho as (2,)*6."""
-    t = np.asarray(rho).reshape((2,) * 6)
-    pts = np.stack([t] + [t.swapaxes(k, 3 + k) for k in range(3)]).reshape(4, 8, 8)
-    permuted = np.stack([t.transpose(p + tuple(3 + i for i in p))
-                         for p in itertools.permutations(range(3))]).reshape(6, 8, 8)
-    return pts, permuted
+def transposed_stacks(rho, n):
+    """Oracle: rho and its partial transpose on every cut, one swapaxes per
+    party on the cut's side, and its n! party permutations, each made on
+    rho as (2,)*2n."""
+    t = np.asarray(rho).reshape((2,) * 2 * n)
+    pts = [functools.reduce(lambda m, k: m.swapaxes(k, n + k), side, t)
+           for side in [()] + cut_sides(n)]
+    permuted = [t.transpose(p + tuple(n + i for i in p))
+                for p in itertools.permutations(range(n))]
+    return (np.stack(pts).reshape(-1, 2 ** n, 2 ** n),
+            np.stack(permuted).reshape(-1, 2 ** n, 2 ** n))
 
 
 def stacked_projector_born_table(rho, obs):
@@ -276,16 +295,17 @@ def test_state_build_matches_loop_oracle(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
-def test_gathered_stacks_match_transpose_oracle(seed, real, built_in):
-    rho = state.build_vb_state() if built_in else ginibre_state(np.random.default_rng(seed))
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(), st.integers(2, 5))
+def test_gathered_stacks_match_transpose_oracle(seed, real, built_in, n):
+    if built_in:
+        rho, n = state.build_vb_state(), 3
+    else:
+        rho = ginibre_state(np.random.default_rng(seed), n)
     if real:
         rho = rho.real
-    pts, permuted = transposed_stacks(rho)
-    assert np.array_equal(rho.reshape(64)[state._PT], pts)
-    assert np.array_equal(rho.reshape(64)[state._PERMUTED], permuted)
+    pts, permuted = transposed_stacks(rho, n)
     report = state.validate_state(rho)
-    assert report.pt_invariance_deviation == float(np.abs(pts[3] - rho).max())
+    assert report.pt_invariance_deviation == float(np.abs(pts[1:] - rho).max())
     assert report.permutation_symmetry_deviation == float(np.abs(permuted - rho).max())
     eigs = np.linalg.eigvalsh(pts)
     assert (report.min_eigenvalue, report.pt_min_eigenvalues) == (

@@ -1,6 +1,8 @@
 """The record types are immutable tuples: a field cannot be assigned, the
 two validating records check their fields however they are built, and
 to_dict keeps its key order."""
+import json
+
 import numpy as np
 import pytest
 
@@ -47,10 +49,23 @@ G = np.ones((2, 2, 2))
     lambda: simulate.SimulationConfig(10)._replace(protocol="psychic"),
     lambda: bell.Inequality(G, -1, 1)._replace(lower_bound=2),
     lambda: bell.Inequality(G, -1, 1)._replace(g=np.full((2, 2, 2), np.nan)),
+    lambda: simulate.SimulationConfig(True),
+    lambda: simulate.SimulationConfig(10, seed=False),
+    lambda: simulate.SimulationConfig(10, shards=True),
 ])
 def test_every_construction_validates(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_numpy_integer_config_gives_a_json_report():
+    config = simulate.SimulationConfig(np.int64(10), seed=np.uint64(3), shards=np.int32(2))
+    assert config == (10, 3, "quantum", 2)
+    assert all(type(v) is int for v in (config.shots, config.seed, config.shards))
+    report = simulate.run_protocol(config).to_dict()
+    assert json.loads(json.dumps(report)) == report
+    plain = simulate.run_protocol(simulate.SimulationConfig(10, seed=3, shards=2)).to_dict()
+    assert {**report, "wall_time": 0} == {**plain, "wall_time": 0}
 
 
 def test_positional_and_keyword_construction_agree():

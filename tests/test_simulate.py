@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from becc import bell, ccp, linalg, simulate, state, tolerances
+from becc import bell, ccp, simulate, state, tolerances
 from becc.simulate import (
     GameTables,
     SimulationConfig,
@@ -314,28 +314,25 @@ class TestTextbookGames:
         assert abs(report.empirical_probability - p_q) <= 5 * math.sqrt(p_q * (1 - p_q) / 1e6)
 
 
-def pt_minima(rho):
-    """Smallest eigenvalue of rho's partial transpose on each one-party cut."""
-    n = rho.shape[0].bit_length() - 1
-    return [linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, k, [2] * n))[0]
-            for k in range(1, n + 1)]
-
-
 class TestAbstractClaim:
     """The textbook games are won with NPT states, the paper's with a PPT
     one.  A state with a positive partial transpose on every cut cannot be
     distilled (Peres, PRL 77, 1413 (1996); Horodecki, Horodecki & Horodecki,
-    PRL 80, 5239 (1998)), yet it still beats the classical protocol."""
+    PRL 80, 5239 (1998)), yet it still beats the classical protocol.  Both
+    claims are read from the certificates `becc state validate` prints."""
 
     @pytest.mark.parametrize("name", sorted(TEXTBOOK_GAMES))
     def test_textbook_states_are_npt_on_every_cut(self, name):
         t = textbook_tables(name)
-        # GHZ_n's partial transpose has eigenvalue -1/2, up to one ulp
-        assert pt_minima(t.rho) == pytest.approx([-0.5] * t.ineq.g.ndim, abs=1e-15)
+        cuts = 2 ** (t.ineq.g.ndim - 1) - 1  # 1, 3 and 7 for Phi+, GHZ_3 and GHZ_4
+        # GHZ_n's partial transpose on any cut has eigenvalue -1/2, up to one ulp
+        eigs = state.validate_state(t.rho).pt_min_eigenvalues
+        assert eigs == pytest.approx([-0.5] * cuts, abs=1e-15)
         assert t.p_quantum_exact > t.p_classical_exact
 
     def test_paper_state_is_ppt_on_every_cut(self, tables):
-        assert all(e >= -tolerances.TRANSCRIPTION for e in pt_minima(tables.rho))
+        eigs = state.validate_state(tables.rho).pt_min_eigenvalues
+        assert len(eigs) == 3 and all(e >= -tolerances.TRANSCRIPTION for e in eigs)
         assert tables.p_quantum_exact > tables.p_classical_exact
 
 

@@ -158,11 +158,12 @@ class TestValidate:
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            validate_state(np.eye(4))
+            validate_state(np.eye(6))
 
     def test_report_dict_roundtrips_json(self, rho):
         d = validate_state(rho).to_dict()
-        assert json.loads(json.dumps(d)) == json.loads(json.dumps(d))
+        assert json.loads(json.dumps(d)) == {
+            **d, "pt_min_eigenvalues": list(d["pt_min_eigenvalues"])}
 
 
 class TestSerialization:
