@@ -7,8 +7,8 @@ Submodules:
                   transpose that the tests and the benchmark compare against
     state      -- the shared 3-qubit bound entangled state, and the
                   certificates of any 2-5 qubit state on every bipartition
-    bell       -- Bell inequalities, classical bounds by enumeration, Born
-                  probabilities, quantum values; the paper's 3-party game
+    bell       -- Bell inequalities, classical bounds, one float-or-exact Born
+                  contraction for probabilities, S and B; the paper's game
     ccp        -- the communication game: input distribution, target,
                   exact success probabilities
     simulate   -- seeded Monte Carlo runs of both protocols

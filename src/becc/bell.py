@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -177,7 +178,7 @@ def search_strategies(
     STRATEGY_BLOCK entries, the last live slots are enumerated instead,
     one combination at a time.
     """
-    g = np.asarray(g, dtype=float)
+    g = coefficient_table(g)
     n, s = g.ndim, g.shape[0]
     nonzero = g != 0
     supported = [nonzero.reshape(s ** k, s, -1).any(axis=(0, 2)).tolist() for k in range(n)]
@@ -244,24 +245,14 @@ def measurement_observables() -> list[list[np.ndarray]]:
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
-def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """Joint outcome distributions P(a_1..a_n | x) of projective
-    measurements on an n-qubit rho, one observable list per party, for
-    every setting tuple x with observables.
-
-    Shape (settings of party 1, ..., of party n, 2^n), outcomes in the
-    n-bit encoding of outcome_signs.  Observable O has projectors
-    (I + O)/2 and (I - O)/2 for outcomes +1 and -1, so the identity
-    setting gives +1 with certainty.  rho, reshaped to (2,)*2n, is
-    contracted with each party's (settings, 2 outcomes, 2, 2) projector
-    stack in turn.  Probabilities within NEGATIVITY below zero are
-    clamped and each distribution renormalized; a more negative one, an
-    imaginary part or a deviation of a sum from 1 beyond FLOAT is an error.
-    """
-    n, eye, sign = len(obs), np.eye(2), np.array([1.0, -1.0])[:, None, None]
-    p = np.asarray(rho).reshape((2,) * 2 * n)
-    # trace(rho Pi_1 (x) ... (x) Pi_n) for every (x, a), one party at a time;
-    # labels: party k's row and column axes k and n + k (as in rho), its
+def _contract(op: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
+    """trace(op Pi_1 (x) ... (x) Pi_n) for every setting tuple x and outcome
+    a, shape (settings of party 1, ..., of party n, 2^n): op as (2,)*2n,
+    contracted with each party's projectors (I + O)/2, (I - O)/2 in turn.
+    The constants are integers, so Fraction entries of op and obs stay exact."""
+    n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
+    p = np.asarray(op).reshape((2,) * 2 * n)
+    # labels: party k's row and column axes k and n + k (as in op), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1
     for k, o in enumerate(map(np.array, obs)):
         stack = (eye + sign * o[:, None]) / 2  # x + (-y) is x - y, bit for bit
@@ -269,7 +260,20 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
         rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
         out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
         p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
-    p = p.reshape(p.shape[:n] + (-1,))
+    return p.reshape(p.shape[:n] + (-1,))
+
+
+def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
+    """Joint outcome distributions P(a_1..a_n | x) on an n-qubit rho, one
+    observable list per party: _contract's table, outcomes as in outcome_signs.
+    Float probabilities within NEGATIVITY below zero are clamped and each
+    distribution renormalized; a more negative one, an imaginary part or a
+    sum off 1 by more than FLOAT is an error.  Fraction rho and obs are exact."""
+    p = _contract(rho, obs)
+    if p.dtype == object:  # exact: no clamp and no renormalization
+        if min(p.flat) < 0 or (p.sum(axis=-1) != 1).any():
+            raise ValueError("exact outcome probabilities must be >= 0 and sum to 1")
+        return p
     # every guard below is a comparison, which a NaN passes
     if not np.isfinite(p).all():
         raise ValueError("non-finite outcome probability: rho has a non-finite entry")
@@ -330,21 +334,32 @@ def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
     return float(_at(correlations(born_table(rho, obs)), x, len(obs)))
 
 
-def expression_value(g: np.ndarray, corr: np.ndarray) -> float:
-    """S = sum_x g(x) E(x) over the support of g, from a correlation table."""
+def expression_value(g: np.ndarray, corr: np.ndarray) -> float | Fraction:
+    """S = sum_x g(x) E(x) over the support of g; exact for an object table."""
     if corr.ndim != g.ndim:
         raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
     idx = np.nonzero(g)
     _, e = on_support(corr, idx)
+    if e.dtype == object:
+        return sum(Fraction(c) * v for c, v in zip(g[idx], e))
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
     return float(sum(g[idx] * e))
 
 
-def quantum_value(ineq: Inequality, rho: np.ndarray, obs: list[list[np.ndarray]]) -> float:
+def quantum_value(ineq: Inequality, rho: np.ndarray,
+                  obs: list[list[np.ndarray]]) -> float | Fraction:
     """S = sum_x g(x) E(x) over the support of the coefficient table; an
     absent party sits on the identity setting, so contributes an identity
-    factor."""
+    factor.  Exact for Fraction rho and obs."""
     return expression_value(ineq.g, correlations(born_table(rho, obs)))
+
+
+def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
+    """B with S = trace(rho B): S is linear in rho, so B_ji = S(|i><j|)."""
+    g, dim, signs = coefficient_table(g), 2 ** len(obs), outcome_signs(len(obs)).prod(axis=1)
+    s = [g[g != 0] @ on_support(_contract(u, obs) @ signs, np.nonzero(g))[1]
+         for u in np.eye(dim * dim).reshape(-1, dim, dim)]
+    return np.reshape(s, (dim, dim)).T
 
 
 general_quantum_value = quantum_value

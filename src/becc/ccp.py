@@ -41,14 +41,6 @@ def target_function(inst: GameInstance, g: np.ndarray) -> int:
     return math.prod(inst.y) * sign
 
 
-def parity_target(inst: GameInstance) -> int:
-    """Closed form of the target for the built-in game: the parity of
-    x1 + x2 + x3 plus one when all three settings coincide."""
-    x1, x2, x3 = inst.x
-    d = 1 if x1 == x2 == x3 else 0
-    return inst.y[0] * inst.y[1] * inst.y[2] * (2 * ((d + x1 + x2 + x3) % 2) - 1)
-
-
 def scalar_product(f_func, a_func, q: np.ndarray) -> float:
     """Literal weighted scalar product: the double sum over all y and all
     q-supported x of 2^-n * q(x) * f(y,x) * A(y,x)."""
@@ -63,7 +55,7 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
 
 def success_probability(value, sum_abs_g):
     """P = (1 + value/sum|g|) / 2; exact Fraction for integral inputs."""
-    if sum_abs_g == 0:
+    if not sum_abs_g > 0:  # a NaN fails this too
         raise ValueError("sum |g| must be positive")
     if isinstance(value, Integral) and isinstance(sum_abs_g, Integral):
         return Fraction(int(sum_abs_g) + int(value), 2 * int(sum_abs_g))

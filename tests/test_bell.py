@@ -76,6 +76,8 @@ class TestInequality:
     def test_rejects_non_cube(self, shape):
         with pytest.raises(ValueError, match="cube"):
             Inequality(np.ones(shape), -1, 1)
+        with pytest.raises(ValueError, match="cube"):  # not numpy's reshape error
+            bell.search_strategies(np.ones(shape), True)
 
     def test_rejects_all_zero_table(self):
         with pytest.raises(ValueError, match="all-zero"):
@@ -92,6 +94,10 @@ class TestInequality:
         g[1, 1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             Inequality(g, -1, 1)
+        # called directly, the search raised TypeError on NaN and returned
+        # (-inf, inf) on inf as if it had succeeded
+        with pytest.raises(ValueError, match="non-finite"):
+            bell.search_strategies(g, True)
 
     @pytest.mark.parametrize("lower,upper", [
         (math.nan, 1), (-1, math.nan), (-math.inf, 1), (-1, math.inf)])
@@ -321,3 +327,14 @@ class TestQuantumValue:
         s = quantum_value(hom, rho, obs)
         assert s - hom.upper_bound == pytest.approx(0.00685, abs=2e-4)
         assert s > hom.upper_bound
+
+
+class TestBellOperator:
+    """B with S = trace(rho B) for every rho."""
+
+    def test_paper_game_spectrum(self, rho, obs, hom):
+        b = bell.bell_operator(hom.g, obs)
+        low, high = np.linalg.eigvalsh(b)[[0, -1]]
+        assert high == pytest.approx(9.047959571894108, abs=1e-6)
+        assert low == pytest.approx(-5.298279667505556, abs=1e-6)
+        assert np.trace(rho @ b) == pytest.approx(quantum_value(hom, rho, obs), abs=1e-12)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from becc.ccp import (
     exact_success_quantum,
     input_distribution,
     optimal_classical_strategy,
-    parity_target,
     scalar_product,
     success_by_enumeration,
     success_probability,
@@ -28,6 +28,14 @@ def g():
 @pytest.fixture(scope="module")
 def q(g):
     return input_distribution(g)
+
+
+def parity_target(inst):
+    """Closed form of the target for the built-in game: the parity of
+    x1 + x2 + x3 plus one when all three settings coincide."""
+    x1, x2, x3 = inst.x
+    d = 1 if x1 == x2 == x3 else 0
+    return inst.y[0] * inst.y[1] * inst.y[2] * (2 * ((d + x1 + x2 + x3) % 2) - 1)
 
 
 def random_strategy(rng):
@@ -103,9 +111,11 @@ class TestSuccessProbability:
     def test_zero_value_is_coin_flip(self):
         assert success_probability(0, 7) == Fraction(1, 2)
 
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            success_probability(1, 0)
+    @pytest.mark.parametrize("sum_abs_g", [0, -2, math.nan])
+    def test_zero_weight_rejected(self, sum_abs_g):
+        # a negative sum gave the probability -3/4 at value 5, a NaN sum nan
+        with pytest.raises(ValueError, match="positive"):
+            success_probability(5, sum_abs_g)
 
 
 class TestOptimalClassicalStrategy:

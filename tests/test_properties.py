@@ -2,10 +2,12 @@
 certificates, the game tables and the success probabilities, checked on
 random inputs against oracles written here: a plain itertools.product
 enumeration for the classical side, the kron-and-trace formula for the
-quantum side, one-matrix and one-tuple loops for the stacked and
-gathered arrays, and the per-ket, per-transpose and per-outcome builds
-that the array forms must equal bit for bit.  The search, the Born table
-and the game tables are checked with 2, 3 and 4 parties."""
+quantum side and the Bell operator, one-matrix and one-tuple loops for
+the stacked and gathered arrays, and the per-ket, per-transpose and
+per-outcome builds that the array forms must equal bit for bit.  The
+Born contraction on Fraction arrays must equal its float table.  The
+search, the Born table and the game tables are checked with 2, 3 and 4
+parties."""
 import functools
 import itertools
 import math
@@ -155,6 +157,11 @@ def random_observables(rng, n_parties):
     return [[np.eye(2), reflection(rng), reflection(rng)] for _ in range(n_parties)]
 
 
+def kron_observable(obs, x):
+    """Oracle: O_{x_1} (x) ... (x) O_{x_n} by np.kron."""
+    return functools.reduce(np.kron, [obs[p][s] for p, s in enumerate(x)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), party_tables(3))
 def test_born_outputs_on_random_states(seed, entries):
@@ -169,14 +176,103 @@ def test_born_outputs_on_random_states(seed, entries):
     # outcome index a: party 1's bit most significant, bit 1 meaning -1
     product = np.array([math.prod(a) for a in itertools.product((1, -1), repeat=n)])
     for x in itertools.product(range(3), repeat=n):
-        op = functools.reduce(np.kron, [obs[p][s] for p, s in enumerate(x)])
-        trace = np.trace(rho @ op)
+        trace = np.trace(rho @ kron_observable(obs, x))
         assert abs(trace.imag) <= 1e-12
         assert float(product @ table[x]) == pytest.approx(trace.real, abs=1e-12)
         assert bell.correlation(rho, obs, x) == pytest.approx(trace.real, abs=1e-12)
         assert np.array_equal(bell.born_distribution(rho, obs, x), table[x])
     ineq = inequality(dense(entries, 3))
     assert abs(bell.quantum_value(ineq, rho, obs)) <= ineq.sum_abs()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), party_tables(3))
+def test_bell_operator_matches_kron_oracle(seed, entries):
+    n = parties(entries)
+    rng = np.random.default_rng(seed)
+    rho = ginibre_state(rng, n)
+    obs = random_observables(rng, n)
+    ineq = inequality(dense(entries, 3))
+    b = bell.bell_operator(ineq.g, obs)
+    want = sum(c * kron_observable(obs, x) for x, c in entries.items())
+    assert np.abs(b - want).max() <= 1e-12
+    assert np.abs(b - b.conj().T).max() <= 1e-12
+    trace = np.trace(rho @ b)
+    assert abs(trace.imag) <= 1e-12
+    assert trace.real == pytest.approx(bell.quantum_value(ineq, rho, obs), abs=1e-12)
+
+
+def exact(a):
+    """a as an object array of Fractions, entry by entry: exact for ints
+    and floats."""
+    return np.array([Fraction(v) for v in np.ravel(a).tolist()], dtype=object).reshape(np.shape(a))
+
+
+def rational_reflection(u):
+    """[[c, s], [s, -c]] at (c, s) = ((1 - u^2), 2u) / (1 + u^2): a real
+    reflection with Fraction entries for a rational u."""
+    c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+    return exact([[c, s], [s, -c]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), party_tables(3))
+def test_exact_born_table_matches_float_table(seed, entries):
+    # rho = M M^T over its trace for a small integer M, and reflections at
+    # rational u: every input entry is a Fraction, so the table is exact
+    n = parties(entries)
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-3, 4, (2 ** n, 2 ** n))
+    gram = m @ m.T
+    assume(np.trace(gram) > 0)
+    rho = exact(gram) / int(np.trace(gram))
+    obs = [[exact(np.eye(2))] + [rational_reflection(Fraction(int(k), 7))
+                                 for k in rng.integers(-20, 21, 2)] for _ in range(n)]
+    table = bell.born_table(rho, obs)
+    assert all(type(p) is Fraction for p in table.flat)
+    assert min(table.flat) >= 0
+    assert all(total == 1 for total in table.sum(axis=-1).flat)
+    float_rho, float_obs = rho.astype(float), [[o.astype(float) for o in row] for row in obs]
+    assert np.abs(table.astype(float) - bell.born_table(float_rho, float_obs)).max() <= 1e-12
+    ineq = inequality(dense(entries, 3))
+    s = bell.quantum_value(ineq, rho, obs)
+    assert type(s) is Fraction
+    assert float(s) == pytest.approx(bell.quantum_value(ineq, float_rho, float_obs), abs=1e-12)
+
+
+def paper_reflection(theta):
+    """The paper's reflection at angle theta, with u = tan(theta / 2)
+    rounded to 1e-12: exactly a reflection, within about 1e-12 of it."""
+    return rational_reflection(Fraction(round(math.tan(theta / 2) * 10 ** 12), 10 ** 12))
+
+
+@pytest.fixture(scope="module")
+def exact_paper_obs():
+    # O1 at angle 2 pi / 9; O2 = [[s, -c], [-c, -s]] at -4 pi / 9
+    row = [exact(np.eye(2)), paper_reflection(2 * math.pi / 9), paper_reflection(-4 * math.pi / 9)]
+    return [row] * 3
+
+
+def test_exact_paper_value_beats_the_classical_bound(exact_paper_obs):
+    rho, hom = state.build_vb_state(), bell.homogenize(bell.sliwa5())
+    exact_rho = exact(rho)
+    s = bell.quantum_value(hom, exact_rho / np.trace(exact_rho), exact_paper_obs)
+    assert type(s) is Fraction
+    assert s > hom.upper_bound
+    assert abs(float(s) - bell.quantum_value(hom, rho, bell.measurement_observables())) <= 1e-13
+
+
+def test_exact_born_table_rejects_invalid_state(exact_paper_obs):
+    # the transcribed rho, converted exactly, misses unit trace by 3 * 2^-56;
+    # divided by its trace it passes (above), so no probability is negative
+    exact_rho = exact(state.build_vb_state())
+    assert np.trace(exact_rho) == Fraction(2 ** 56 - 3, 2 ** 56)
+    with pytest.raises(ValueError, match="sum to 1"):
+        bell.born_table(exact_rho, exact_paper_obs)
+    bad = exact(np.diag([3, -1, 0, -1, 0, 0, 0, 0]))
+    assert np.trace(bad) == 1  # every sum is exactly 1
+    with pytest.raises(ValueError, match=">= 0"):
+        bell.born_table(bad, exact_paper_obs)
 
 
 def cut_sides(n):

@@ -308,6 +308,13 @@ class TestTextbookGames:
         assert t.p_classical_exact == p_c
         assert t.p_quantum_exact == pytest.approx(p_q, abs=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(TEXTBOOK_GAMES))
+    def test_bell_operator_top_eigenvalue_is_s(self, name):
+        # each state is a top eigenvector of its game's B = sum_x g(x) O_x
+        _, obs, g = TEXTBOOK_GAMES[name][0]()
+        top = np.linalg.eigvalsh(bell.bell_operator(g, obs))[-1]
+        assert top == pytest.approx(TEXTBOOK_GAMES[name][4], abs=1e-12)
+
     def test_chsh_run_within_five_sigma(self):
         report = run_protocol(SimulationConfig(shots=1_000_000, seed=0), textbook_tables("chsh"))
         p_q = math.cos(math.pi / 8) ** 2
