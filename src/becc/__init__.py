@@ -3,8 +3,8 @@ that reads the number of parties from its inputs.
 
 Submodules:
     tolerances -- every numerical tolerance, with its reason
-    linalg     -- Hermitian spectra for `state`, and the reference partial
-                  transpose that the tests and the benchmark compare against
+    linalg     -- the Hermiticity gate for `state`; Hermitian spectra and the
+                  reference partial transpose for the tests and the benchmark
     state      -- the shared 3-qubit bound entangled state, and the
                   certificates of any 2-5 qubit state on every bipartition
     bell       -- Bell inequalities, classical bounds, one float-or-exact Born

@@ -40,16 +40,19 @@ def coefficient_table(g) -> np.ndarray:
     """g as a real float cube with one axis per party, finite and not all
     zero; anything else raises ValueError."""
     g = np.asarray(g)
-    if np.iscomplexobj(g) and g.imag.any():
-        raise ValueError("coefficient table has a non-zero imaginary part")
-    g = np.asarray(g.real, dtype=float)
+    if g.dtype != float:  # a float64 table is real already
+        if np.iscomplexobj(g) and g.imag.any():
+            raise ValueError("coefficient table has a non-zero imaginary part")
+        g = np.asarray(g.real, dtype=float)
     if g.ndim == 0 or len(set(g.shape)) > 1:
         raise ValueError(f"coefficient table must be a cube with an axis per party, "
                          f"got shape {g.shape}")
-    if not np.isfinite(g).all():
-        raise ValueError("coefficient table has a non-finite entry")
-    if not g.any():
-        raise ValueError("all-zero coefficient table")
+    # a finite, positive sum of squares passes both; NaN, overflow, underflow fall through
+    if not 0 < np.vdot(g, g) < math.inf:
+        if not np.isfinite(g).all():
+            raise ValueError("coefficient table has a non-finite entry")
+        if not g.any():
+            raise ValueError("all-zero coefficient table")
     return g
 
 
@@ -82,16 +85,17 @@ class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", fl
 # party: A1 + A1B2 - A2B2 - A1B1C1 - A2B1C1 + A2B2C2, bounds -13 .. 3.
 _SLIWA5_BASE = {(1, 0, 0): 1.0, (1, 2, 0): 1.0, (2, 2, 0): -1.0,
                 (1, 1, 1): -1.0, (2, 1, 1): -1.0, (2, 2, 2): 1.0}
+# each base term on every permutation of its settings, as a flat index into
+# the 3x3x3 table and a coefficient, in the order a += loop adds them
+_SLIWA5_FLAT, _SLIWA5_COEFFS = map(np.array, zip(*[(9 * y[0] + 3 * y[1] + y[2], c)
+    for x, c in _SLIWA5_BASE.items() for y in set(itertools.permutations(x))]))
 
 
 def sliwa5() -> Inequality:
     """The original two-setting inequality, symmetrized over the parties:
     each base term on every permutation of its settings (17 entries)."""
-    g = np.zeros((3, 3, 3))
-    for x, c in _SLIWA5_BASE.items():
-        for y in set(itertools.permutations(x)):
-            g[y] += c
-    return Inequality(g, lower_bound=-13.0, upper_bound=3.0)
+    return Inequality(np.bincount(_SLIWA5_FLAT, _SLIWA5_COEFFS, 27).reshape(3, 3, 3),
+                      lower_bound=-13.0, upper_bound=3.0)
 
 
 def homogenize(ineq: Inequality) -> Inequality:
@@ -282,7 +286,7 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     p = p.real
     if p.min() < -tolerances.NEGATIVITY:
         raise ValueError(f"negative outcome probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
+    p = p.clip(0.0, None)
     total = p.sum(axis=-1, keepdims=True)
     worst = total.flat[np.abs(total - 1.0).argmax()]
     if abs(worst - 1.0) > tolerances.FLOAT:
@@ -303,7 +307,7 @@ def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
     """The setting tuples of a support given as np.nonzero(g) index
     arrays, in that order, and the entries of a Born or correlation table
     at them; a fractional, negative or unobserved setting raises."""
-    support = np.transpose(idx)
+    support = np.array(idx).T
     if support.dtype.kind not in "iu":
         raise ValueError(f"setting tuple {tuple(support[0].tolist())} must hold integer settings")
     missing = (support < 0) | (support >= table.shape[:len(idx)])
@@ -357,6 +361,8 @@ def quantum_value(ineq: Inequality, rho: np.ndarray,
 def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """B with S = trace(rho B): S is linear in rho, so B_ji = S(|i><j|)."""
     g, dim, signs = coefficient_table(g), 2 ** len(obs), outcome_signs(len(obs)).prod(axis=1)
+    if g.ndim != len(obs):
+        raise ValueError(f"observables of {len(obs)} parties for a {g.ndim}-party table")
     s = [g[g != 0] @ on_support(_contract(u, obs) @ signs, np.nonzero(g))[1]
          for u in np.eye(dim * dim).reshape(-1, dim, dim)]
     return np.reshape(s, (dim, dim)).T

@@ -74,12 +74,12 @@ def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fracti
     Returns the lexicographically smallest maximizer of P(A = f) together
     with its exact success probability.
     """
-    g = coefficient_table(g)
+    _, best, argmax, _ = search_strategies(g, False)  # validates g: .real drops nothing
+    g = np.asarray(np.asarray(g).real, dtype=float)
     # exact test: a table within rounding of integers is not integral, and
     # truncating its sums could give a success probability above 1
     integral = np.array_equal(g, np.round(g))
     sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
-    _, best, argmax, _ = search_strategies(g, False)
     return argmax, success_probability(int(round(best)) if integral else best, sum_abs)
 
 

@@ -42,19 +42,18 @@ def partial_transpose(m: np.ndarray, party: int, local_dims: list[int]) -> np.nd
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:
-    """Max entry-wise |m - m^dagger|, over every matrix of a stack."""
+    """Max entry-wise |m - m^dagger|, over every matrix of a stack; above
+    ``tolerances.FLOAT`` it raises, as that almost always means a construction bug."""
     m = _as_square(m)
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    if dev > tolerances.FLOAT:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    return dev
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending; of a stack, one
     ascending row per matrix, each as the matrix alone would give it.
-
-    Rejects matrices that are not Hermitian within ``tolerances.FLOAT``; a
-    violation here almost always means a construction bug upstream.
-    """
-    dev = hermiticity_deviation(m)
-    if dev > tolerances.FLOAT:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    A matrix hermiticity_deviation rejects is rejected."""
+    hermiticity_deviation(m)
     return np.linalg.eigvalsh(m)

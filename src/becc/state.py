@@ -60,10 +60,10 @@ def build_vb_state() -> np.ndarray:
     Weights and kets are renormalized, so the result has unit trace to
     machine precision.  Deterministic: repeated calls are bit-identical.
     """
-    # complex on purpose: a float ket divided by its norm rounds
-    # differently and moves rho's last bits
+    # complex on purpose: a float ket divided by its norm rounds differently and
+    # moves rho's last bits; each norm is np.linalg.norm's sqrt(re.re + im.im)
     kets = np.array(PURE_STATE_AMPLITUDES, dtype=complex)
-    norms = np.array([np.linalg.norm(ket) for ket in kets])
+    norms = np.sqrt(sum(r[:, None] @ r[:, :, None] for r in (kets.real, kets.imag)).ravel())
     _check_transcription(norms)
     kets = kets / norms[:, None]
     wsum = sum(MIXTURE_WEIGHTS)
@@ -94,12 +94,12 @@ def validate_state(rho: np.ndarray) -> StateReport:
     # the n! permutations set the cap: at n = 6 the cached indices take ~24 MB
     if not 2 <= n <= 5 or rho.shape != (2 ** n,) * 2:
         raise ValueError(f"expected a 2^n x 2^n matrix, 2 <= n <= 5, got shape {rho.shape}")
-    views = rho.reshape(-1)[_gathers(n)]
+    hermiticity, views = linalg.hermiticity_deviation(rho), rho.reshape(-1)[_gathers(n)]
     n_pt = 2 ** (n - 1)  # rho and its 2^(n-1) - 1 partial transposes
-    eigs = linalg.hermitian_eigenvalues(views[:n_pt])
+    eigs = np.linalg.eigvalsh(views[:n_pt])  # as Hermitian as rho: they permute its entries
     return StateReport(
-        trace_deviation=abs(float(np.trace(rho).real) - 1.0),
-        hermiticity_deviation=linalg.hermiticity_deviation(rho),
+        trace_deviation=abs(float(rho.trace().real) - 1.0),
+        hermiticity_deviation=hermiticity,
         min_eigenvalue=float(eigs[0, 0]),
         permutation_symmetry_deviation=float(np.abs(views[n_pt:] - rho).max()),
         pt_invariance_deviation=float(np.abs(views[1:n_pt] - rho).max()),

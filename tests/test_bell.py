@@ -2,11 +2,13 @@ import itertools
 import json
 import math
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from becc import bell, simulate, state
+from becc import bell, ccp, simulate, state
 from becc.bell import (
     Inequality,
     classical_extrema,
@@ -69,6 +71,20 @@ class TestSliwa5:
         for perm in itertools.permutations(range(3)):
             assert np.array_equal(np.transpose(g, perm), g)
 
+    def test_matches_permutation_loop_oracle(self):
+        # each base term added on every permutation of its settings, one
+        # += at a time
+        g = np.zeros((3, 3, 3))
+        for x, c in bell._SLIWA5_BASE.items():
+            for y in set(itertools.permutations(x)):
+                g[y] += c
+        assert sliwa5().g.tobytes() == g.tobytes()
+
+    def test_each_call_returns_a_fresh_table(self):
+        first = sliwa5().g
+        first[1, 0, 0] = 7.0
+        assert sliwa5().g[1, 0, 0] == 1.0
+
 
 class TestInequality:
     # a cube has any number of axes, all of one length, but at least one
@@ -99,6 +115,14 @@ class TestInequality:
         with pytest.raises(ValueError, match="non-finite"):
             bell.search_strategies(g, True)
 
+    @pytest.mark.parametrize("scale", [1e-200, 5e-324, 1e200])
+    def test_accepts_table_whose_sum_of_squares_underflows_or_overflows(self, scale):
+        # the one-dot-product pre-test gives 0 or inf here, so the
+        # entry-wise tests decide
+        g = np.full((2, 2, 2), scale)
+        assert np.array_equal(Inequality(g, -8, 8).g, g)
+        assert bell.search_strategies(g, True)[1] == 8 * scale
+
     @pytest.mark.parametrize("lower,upper", [
         (math.nan, 1), (-1, math.nan), (-math.inf, 1), (-1, math.inf)])
     def test_rejects_non_finite_bound(self, lower, upper):
@@ -115,6 +139,46 @@ class TestInequality:
     def test_accepts_complex_table_with_zero_imaginary_part(self):
         ineq = Inequality(np.ones((2, 2, 2)) + 0j, -8, 8)
         assert ineq.g.dtype == float and np.array_equal(ineq.g, np.ones((2, 2, 2)))
+
+
+class TestTableDtypes:
+    """A float64 table skips the conversion; every other real dtype, and a
+    complex one with a zero imaginary part, must give the same results."""
+
+    @pytest.fixture(params=[np.float64, np.int64, np.float32, np.complex128])
+    def dtype(self, request):
+        return request.param
+
+    @pytest.fixture(autouse=True)
+    def no_warning_escapes(self):
+        # a cast that drops an imaginary part warns (ComplexWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("form", ["original", "homogenized"])
+    def test_same_extrema_argmax_and_p_c(self, dtype, form):
+        ineq = sliwa5() if form == "original" else homogenize(sliwa5())
+        g = ineq.g.astype(dtype)
+        assert bell.coefficient_table(g).dtype == np.float64
+        for pin in (True, False):
+            assert bell.search_strategies(g, pin) == bell.search_strategies(ineq.g, pin)
+        typed = Inequality(g, ineq.lower_bound, ineq.upper_bound)
+        assert classical_extrema(typed) == classical_extrema(ineq)
+        strategy, p_c = ccp.optimal_classical_strategy(g)
+        assert (strategy, p_c) == ccp.optimal_classical_strategy(ineq.g)
+        assert type(p_c) is Fraction
+        if form == "homogenized":
+            assert p_c == Fraction(15, 22)
+
+    def test_non_zero_imaginary_part_still_raises(self):
+        g = homogenize(sliwa5()).g.astype(complex)
+        g[1, 1, 1] += 1e-3j
+        for call in (lambda: Inequality(g, -8, 8), lambda: bell.search_strategies(g, True),
+                     lambda: bell.search_strategies(g, False),
+                     lambda: ccp.optimal_classical_strategy(g)):
+            with pytest.raises(ValueError, match="imaginary"):
+                call()
 
 
 class TestHomogenize:
@@ -313,13 +377,14 @@ class TestQuantumValue:
         assert s_hom == pytest.approx(5.0 + s_orig, abs=1e-9)
 
     @pytest.mark.parametrize("n_obs", [2, 4])
-    @pytest.mark.parametrize("consumer", ["quantum_value", "GameTables"])
+    @pytest.mark.parametrize("consumer", ["quantum_value", "GameTables", "bell_operator"])
     def test_rejects_party_count_mismatch(self, hom, n_obs, consumer):
         # g has three parties; the state and observables have n_obs
         obs = [[np.eye(2)] * 4 for _ in range(n_obs)]
         rho = np.eye(2 ** n_obs) / 2 ** n_obs
         call = {"quantum_value": lambda: quantum_value(hom, rho, obs),
-                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom)}
+                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom),
+                "bell_operator": lambda: bell.bell_operator(hom.g, obs)}
         with pytest.raises(ValueError, match=f"{n_obs} parties for a 3-party table"):
             call[consumer]()
 
