@@ -302,11 +302,10 @@ def correlations(pmf: np.ndarray) -> np.ndarray:
     return e
 
 
-def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
-               ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The setting tuples of a support given as np.nonzero(g) index
-    arrays, in that order, and the entries of a Born or correlation table
-    at them; a fractional, negative or unobserved setting raises."""
+def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The entries of a Born or correlation table at a support given as
+    np.nonzero(g) index arrays, in that order; a fractional, negative or
+    unobserved setting raises."""
     support = np.array(idx).T
     if support.dtype.kind not in "iu":
         raise ValueError(f"setting tuple {tuple(support[0].tolist())} must hold integer settings")
@@ -315,14 +314,14 @@ def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...],
         k, party = np.argwhere(missing)[0]
         raise ValueError(f"setting tuple {tuple(support[k].tolist())}: party {party + 1} "
                          f"has no observable for setting {support[k, party]}")
-    return list(map(tuple, support.tolist())), table[idx]
+    return table[idx]
 
 
 def _at(table: np.ndarray, x: tuple[int, ...], n_parties: int):
     """table[x] for a setting tuple x of one setting per party."""
     if len(x) != n_parties:
         raise ValueError(f"setting tuple {x} has {len(x)} settings for {n_parties} parties")
-    return on_support(table, tuple(np.reshape(x, (-1, 1))))[1][0]
+    return on_support(table, tuple(np.reshape(x, (-1, 1))))[0]
 
 
 def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
@@ -338,16 +337,16 @@ def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
     return float(_at(correlations(born_table(rho, obs)), x, len(obs)))
 
 
-def expression_value(g: np.ndarray, corr: np.ndarray) -> float | Fraction:
+def expression_value(g: np.ndarray, corr: np.ndarray) -> float | complex | Fraction:
     """S = sum_x g(x) E(x) over the support of g; exact for an object table."""
     if corr.ndim != g.ndim:
         raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
     idx = np.nonzero(g)
-    _, e = on_support(corr, idx)
+    e = on_support(corr, idx)
     if e.dtype == object:
         return sum(Fraction(c) * v for c, v in zip(g[idx], e))
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
-    return float(sum(g[idx] * e))
+    return sum(g[idx] * e).item()
 
 
 def quantum_value(ineq: Inequality, rho: np.ndarray,
@@ -359,12 +358,11 @@ def quantum_value(ineq: Inequality, rho: np.ndarray,
 
 
 def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """B with S = trace(rho B): S is linear in rho, so B_ji = S(|i><j|)."""
-    g, dim, signs = coefficient_table(g), 2 ** len(obs), outcome_signs(len(obs)).prod(axis=1)
-    if g.ndim != len(obs):
-        raise ValueError(f"observables of {len(obs)} parties for a {g.ndim}-party table")
-    s = [g[g != 0] @ on_support(_contract(u, obs) @ signs, np.nonzero(g))[1]
-         for u in np.eye(dim * dim).reshape(-1, dim, dim)]
+    """B with S = trace(rho B): S is linear in rho, so B_ji = S(|i><j|) by
+    quantum_value's own sum; integer units keep Fraction observables exact."""
+    g, dim = coefficient_table(g), 2 ** len(obs)
+    s = [expression_value(g, correlations(_contract(u, obs)))
+         for u in np.eye(dim * dim, dtype=int).reshape(-1, dim, dim)]
     return np.reshape(s, (dim, dim)).T
 
 

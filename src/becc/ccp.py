@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from numbers import Integral
+from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
@@ -54,11 +54,12 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
 
 
 def success_probability(value, sum_abs_g):
-    """P = (1 + value/sum|g|) / 2; exact Fraction for integral inputs."""
+    """P = (1 + value/sum|g|) / 2; a Fraction for int, numpy integer or Fraction inputs."""
     if not sum_abs_g > 0:  # a NaN fails this too
         raise ValueError("sum |g| must be positive")
-    if isinstance(value, Integral) and isinstance(sum_abs_g, Integral):
-        return Fraction(int(sum_abs_g) + int(value), 2 * int(sum_abs_g))
+    if isinstance(value, Rational) and isinstance(sum_abs_g, Rational):
+        value, sum_abs_g = Fraction(value), Fraction(sum_abs_g)
+        return (sum_abs_g + value) / (2 * sum_abs_g)
     return 0.5 * (1.0 + value / sum_abs_g)
 
 

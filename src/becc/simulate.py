@@ -106,9 +106,13 @@ class GameTables:
 
         g = self.ineq.g
         idx = np.nonzero(g)  # the support as index arrays
-        # one Born contraction gives the outcome tables, the correlations and S
+        # one Born contraction gives the correlations, S and the outcome tables
         born = bell.born_table(self.rho, self.obs)
-        self.support, quantum_pmf = bell.on_support(born, idx)
+        self.correlations = bell.correlations(born)
+        # before born[idx]: expression_value checks g's support against the observables
+        s = self.quantum_value = bell.expression_value(g, self.correlations)
+        self.p_quantum_exact = ccp.exact_success_quantum(s, self.ineq.sum_abs())
+        self.support = list(zip(*np.array(idx).tolist()))
         self.q_support = ccp.input_distribution(g)[idx]
         self.target_sign = np.where(g[idx] > 0, 1, -1)
         outcomes = bell.outcome_signs(g.ndim)
@@ -118,13 +122,9 @@ class GameTables:
         # the strategy's answers a_i(x_i) on each supported x, as (support, party)
         answers = np.array(strategy.a)[np.arange(g.ndim)[:, None], np.array(idx)].T
         self.outcome_pmf = {
-            "quantum": quantum_pmf,
+            "quantum": born[idx],
             "classical": (answers[:, None] == outcomes).all(axis=-1).astype(float),
         }
-
-        self.correlations = bell.correlations(born)
-        s = self.quantum_value = bell.expression_value(g, self.correlations)
-        self.p_quantum_exact = ccp.exact_success_quantum(s, self.ineq.sum_abs())
 
 
 @functools.cache

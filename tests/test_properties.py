@@ -5,7 +5,8 @@ enumeration for the classical side, the kron-and-trace formula for the
 quantum side and the Bell operator, one-matrix and one-tuple loops for
 the stacked and gathered arrays, and the per-ket, per-transpose and
 per-outcome builds that the array forms must equal bit for bit.  The
-Born contraction on Fraction arrays must equal its float table.  The
+Born contraction on Fraction arrays must equal its float table, and
+the Bell operator of Fraction observables its exact kron sum.  The
 search, the Born table and the game tables are checked with 2, 3 and 4
 parties."""
 import functools
@@ -215,19 +216,21 @@ def rational_reflection(u):
     return exact([[c, s], [s, -c]])
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), party_tables(3))
-def test_exact_born_table_matches_float_table(seed, entries):
-    # rho = M M^T over its trace for a small integer M, and reflections at
-    # rational u: every input entry is a Fraction, so the table is exact
-    n = parties(entries)
-    rng = np.random.default_rng(seed)
+def exact_inputs(rng, n):
+    """rho = M M^T over its trace for a small integer M, and reflections at
+    rational u: every entry is a Fraction, so every output is exact."""
     m = rng.integers(-3, 4, (2 ** n, 2 ** n))
     gram = m @ m.T
     assume(np.trace(gram) > 0)
-    rho = exact(gram) / int(np.trace(gram))
     obs = [[exact(np.eye(2))] + [rational_reflection(Fraction(int(k), 7))
                                  for k in rng.integers(-20, 21, 2)] for _ in range(n)]
+    return exact(gram) / int(np.trace(gram)), obs
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), party_tables(3))
+def test_exact_born_table_matches_float_table(seed, entries):
+    rho, obs = exact_inputs(np.random.default_rng(seed), parties(entries))
     table = bell.born_table(rho, obs)
     assert all(type(p) is Fraction for p in table.flat)
     assert min(table.flat) >= 0
@@ -260,6 +263,37 @@ def test_exact_paper_value_beats_the_classical_bound(exact_paper_obs):
     assert type(s) is Fraction
     assert s > hom.upper_bound
     assert abs(float(s) - bell.quantum_value(hom, rho, bell.measurement_observables())) <= 1e-13
+    p_q = ccp.success_probability(s, 22)
+    assert type(p_q) is Fraction
+    assert p_q > Fraction(15, 22)
+
+
+def assert_exact_bell_operator(g, rho, obs):
+    """B built from Fraction observables is exact: Fraction entries only,
+    equal to the kron oracle sum_x g(x) O_x entry for entry, and
+    trace(rho B) equal to quantum_value's exact S."""
+    b = bell.bell_operator(g, obs)
+    assert all(type(v) is Fraction for v in b.flat)
+    support = map(tuple, np.argwhere(g).tolist())
+    want = sum(Fraction(g[x]) * kron_observable(obs, x) for x in support)
+    assert (b == want).all()
+    s = bell.quantum_value(inequality(g), rho, obs)
+    assert type(s) is Fraction
+    assert np.trace(rho @ b) == s
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), sparse_tables(3, 2))
+def test_exact_bell_operator_two_parties(seed, entries):
+    rho, obs = exact_inputs(np.random.default_rng(seed), 2)
+    assert_exact_bell_operator(dense(entries, 3), rho, obs)
+
+
+def test_exact_bell_operator_of_the_paper_game(exact_paper_obs):
+    # one exact three-party build takes about half a second, so one fixed case
+    exact_rho = exact(state.build_vb_state())
+    hom = bell.homogenize(bell.sliwa5())
+    assert_exact_bell_operator(hom.g, exact_rho / np.trace(exact_rho), exact_paper_obs)
 
 
 def test_exact_born_table_rejects_invalid_state(exact_paper_obs):
@@ -569,3 +603,13 @@ def test_success_probability_exact_for_integers(total, data):
     assert isinstance(p, Fraction)
     assert p == Fraction(total + value, 2 * total)
     assert ccp.success_probability(float(value), total) == pytest.approx(float(p), abs=1e-15)
+
+
+@given(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
+       st.fractions(Fraction(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6))
+def test_success_probability_exact_for_fractions(value, total):
+    p = ccp.success_probability(value, total)
+    assert type(p) is Fraction
+    assert p == (1 + value / total) / 2
+    p_float = ccp.success_probability(float(value), float(total))
+    assert p_float == pytest.approx(float(p), rel=1e-12, abs=1e-12)
