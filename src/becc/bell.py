@@ -249,14 +249,16 @@ def measurement_observables() -> list[list[np.ndarray]]:
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
-def _contract(op: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """trace(op Pi_1 (x) ... (x) Pi_n) for every setting tuple x and outcome
-    a, shape (settings of party 1, ..., of party n, 2^n): op as (2,)*2n,
-    contracted with each party's projectors (I + O)/2, (I - O)/2 in turn.
-    The constants are integers, so Fraction entries of op and obs stay exact."""
+def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
+    """Joint outcome distributions P(a_1..a_n | x) on an n-qubit rho, one observable list
+    per party, shape (settings of party 1, ..., of party n, 2^n), outcomes as in
+    outcome_signs: rho as (2,)*2n contracted with each party's projectors (I +- O)/2 in
+    turn, by integer constants, so Fraction rho and obs stay exact.  Float probabilities
+    within NEGATIVITY below zero are clamped and each distribution renormalized; a more
+    negative one, an imaginary part or a sum off 1 by more than FLOAT is an error."""
     n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
-    p = np.asarray(op).reshape((2,) * 2 * n)
-    # labels: party k's row and column axes k and n + k (as in op), its
+    p = np.asarray(rho).reshape((2,) * 2 * n)
+    # labels: party k's row and column axes k and n + k (as in rho), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1
     for k, o in enumerate(map(np.array, obs)):
         stack = (eye + sign * o[:, None]) / 2  # x + (-y) is x - y, bit for bit
@@ -264,16 +266,7 @@ def _contract(op: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
         rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
         out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
         p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
-    return p.reshape(p.shape[:n] + (-1,))
-
-
-def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """Joint outcome distributions P(a_1..a_n | x) on an n-qubit rho, one
-    observable list per party: _contract's table, outcomes as in outcome_signs.
-    Float probabilities within NEGATIVITY below zero are clamped and each
-    distribution renormalized; a more negative one, an imaginary part or a
-    sum off 1 by more than FLOAT is an error.  Fraction rho and obs are exact."""
-    p = _contract(rho, obs)
+    p = p.reshape(p.shape[:n] + (-1,))
     if p.dtype == object:  # exact: no clamp and no renormalization
         if min(p.flat) < 0 or (p.sum(axis=-1) != 1).any():
             raise ValueError("exact outcome probabilities must be >= 0 and sum to 1")
@@ -342,7 +335,7 @@ def expression_value(g: np.ndarray, corr: np.ndarray) -> float | complex | Fract
     if corr.ndim != g.ndim:
         raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
     idx = np.nonzero(g)
-    e = on_support(corr, idx)
+    e = on_support(corr, idx) if idx[0].size else coefficient_table(g)  # all-zero g raises
     if e.dtype == object:
         return sum(Fraction(c) * v for c, v in zip(g[idx], e))
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
@@ -358,12 +351,19 @@ def quantum_value(ineq: Inequality, rho: np.ndarray,
 
 
 def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """B with S = trace(rho B): S is linear in rho, so B_ji = S(|i><j|) by
-    quantum_value's own sum; integer units keep Fraction observables exact."""
-    g, dim = coefficient_table(g), 2 ** len(obs)
-    s = [expression_value(g, correlations(_contract(u, obs)))
-         for u in np.eye(dim * dim, dtype=int).reshape(-1, dim, dim)]
-    return np.reshape(s, (dim, dim)).T
+    """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the
+    observed settings, contracted once with each party's (settings, 2, 2) observable
+    stack.  Fraction observables take g's entries as Fractions, so B is exact."""
+    g, n = coefficient_table(g), len(obs)
+    expression_value(g, np.zeros([len(o) for o in obs]))  # raises on a party or setting misfit
+    stacks = [np.array(o[:s]) for o, s in zip(obs, g.shape)]
+    g = g[tuple(slice(len(t)) for t in stacks)]
+    if any(t.dtype == object for t in stacks):
+        g = np.frompyfunc(Fraction, 1, 1)(g)
+    # party k's setting, row and column axes are k, n + k and 2n + k
+    operands = itertools.chain(*[(t, [k, n + k, 2 * n + k]) for k, t in enumerate(stacks)])
+    b = np.einsum(g, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)
+    return b.reshape(2 ** n, 2 ** n)
 
 
 general_quantum_value = quantum_value

@@ -388,6 +388,14 @@ class TestQuantumValue:
         with pytest.raises(ValueError, match=f"{n_obs} parties for a 3-party table"):
             call[consumer]()
 
+    @pytest.mark.parametrize("corr", [np.zeros((3, 3, 3)),
+                                      np.full((3, 3, 3), Fraction(0), dtype=object)],
+                             ids=["float", "exact"])
+    def test_expression_value_rejects_all_zero_table(self, corr):
+        # an empty support must not sum to int 0
+        with pytest.raises(ValueError, match="all-zero coefficient table"):
+            bell.expression_value(np.zeros((3, 3, 3)), corr)
+
     def test_bell_violation(self, rho, obs, hom):
         s = quantum_value(hom, rho, obs)
         assert s - hom.upper_bound == pytest.approx(0.00685, abs=2e-4)

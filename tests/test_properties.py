@@ -6,7 +6,8 @@ quantum side and the Bell operator, one-matrix and one-tuple loops for
 the stacked and gathered arrays, and the per-ket, per-transpose and
 per-outcome builds that the array forms must equal bit for bit.  The
 Born contraction on Fraction arrays must equal its float table, and
-the Bell operator of Fraction observables its exact kron sum.  The
+the Bell operator of Fraction observables its exact kron sum and, at
+two parties, its value S(|i><j|) on every matrix unit.  The
 search, the Born table and the game tables are checked with 2, 3 and 4
 parties."""
 import functools
@@ -283,17 +284,64 @@ def assert_exact_bell_operator(g, rho, obs):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), sparse_tables(3, 2))
-def test_exact_bell_operator_two_parties(seed, entries):
-    rho, obs = exact_inputs(np.random.default_rng(seed), 2)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3).flatmap(lambda n: sparse_tables(3, n)))
+def test_exact_bell_operator_matches_kron_oracle(seed, entries):
+    rho, obs = exact_inputs(np.random.default_rng(seed), parties(entries))
     assert_exact_bell_operator(dense(entries, 3), rho, obs)
 
 
 def test_exact_bell_operator_of_the_paper_game(exact_paper_obs):
-    # one exact three-party build takes about half a second, so one fixed case
     exact_rho = exact(state.build_vb_state())
     hom = bell.homogenize(bell.sliwa5())
     assert_exact_bell_operator(hom.g, exact_rho / np.trace(exact_rho), exact_paper_obs)
+
+
+def unit_path_bell_operator(g, obs):
+    """Oracle: S is linear in rho, so B_ji = S(|i><j|), each read by
+    correlations and expression_value from projector_contraction of the
+    integer matrix unit |i><j|."""
+    dim = 2 ** len(obs)
+    s = [bell.expression_value(g, bell.correlations(projector_contraction(u, obs)))
+         for u in np.eye(dim * dim, dtype=int).reshape(-1, dim, dim)]
+    return np.reshape(s, (dim, dim)).T
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), sparse_tables(3, 2))
+def test_exact_bell_operator_matches_unit_path_oracle(seed, entries):
+    _, obs = exact_inputs(np.random.default_rng(seed), 2)
+    g = dense(entries, 3)
+    b = bell.bell_operator(g, obs)
+    want = unit_path_bell_operator(g, obs)
+    assert all(type(v) is Fraction for v in want.flat)
+    assert (b == want).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), party_tables(3))
+def test_bell_operator_spectrum_within_sum_abs(seed, entries):
+    # every O_x is a tensor product of reflections and identities, of
+    # operator norm 1, so |B| <= sum_x |g(x)|
+    obs = random_observables(np.random.default_rng(seed), parties(entries))
+    ineq = inequality(dense(entries, 3))
+    eigs = np.linalg.eigvalsh(bell.bell_operator(ineq.g, obs))
+    assert np.abs(eigs).max() <= ineq.sum_abs() * (1 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3).flatmap(
+    lambda n: st.tuples(sparse_tables(3, n), st.permutations(range(n)))))
+def test_bell_operator_permutes_with_the_parties(seed, case):
+    # relabelling party pi(k) as party k moves B's tensor factor pi(k) to k;
+    # exact observables make the two contractions equal entry for entry
+    entries, perm = case
+    n = len(perm)
+    _, obs = exact_inputs(np.random.default_rng(seed), n)
+    g = dense(entries, 3)
+    b = bell.bell_operator(g, obs).reshape((2,) * 2 * n)
+    moved = bell.bell_operator(g.transpose(perm), [obs[p] for p in perm])
+    want = b.transpose(list(perm) + [n + p for p in perm]).reshape(2 ** n, 2 ** n)
+    assert (moved == want).all()
 
 
 def test_exact_born_table_rejects_invalid_state(exact_paper_obs):
@@ -386,18 +434,26 @@ def transposed_stacks(rho, n):
             np.stack(permuted).reshape(-1, 2 ** n, 2 ** n))
 
 
-def stacked_projector_born_table(rho, obs):
-    """Oracle: born_table with each party's projectors (I + O)/2 and
-    (I - O)/2 built by np.stack, and the same contraction order."""
-    n, eye = len(obs), np.eye(2)
-    p = np.asarray(rho).reshape((2,) * 2 * n)
+def projector_contraction(op, obs):
+    """Oracle: trace(op Pi_1 (x) ... (x) Pi_n) for every setting tuple and
+    outcome, with each party's projectors (I + O)/2 and (I - O)/2 built by
+    np.stack, in born_table's contraction order.  Its constants are
+    integers, so Fraction op and obs stay exact."""
+    n, eye = len(obs), np.eye(2, dtype=int)
+    p = np.asarray(op).reshape((2,) * 2 * n)
     for k, o in enumerate(map(np.array, obs)):
         stack = np.stack([(eye + o) / 2, (eye - o) / 2], axis=1)
         measured = list(range(2 * n, 2 * n + 2 * k + 2))
         rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
         out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
         p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
-    p = np.clip(p.reshape(p.shape[:n] + (-1,)).real, 0.0, None)
+    return p.reshape(p.shape[:n] + (-1,))
+
+
+def stacked_projector_born_table(rho, obs):
+    """Oracle: born_table as projector_contraction, clipped at 0 and
+    renormalized."""
+    p = np.clip(projector_contraction(rho, obs).real, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
 
 

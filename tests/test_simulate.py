@@ -137,6 +137,8 @@ class TestTables:
         ineq = bell.Inequality(g, -9, 9)
         with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
             GameTables(obs=obs, ineq=ineq)
+        with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
+            bell.bell_operator(g, obs)
 
 
 class TestRunProtocol:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -155,6 +156,19 @@ class TestValidate:
         assert report.permutation_symmetry_deviation <= 1e-12
         assert report.pt_invariance_deviation <= 1e-12
         assert report.min_eigenvalue == pytest.approx(0.125, abs=1e-12)
+
+    def test_smolin_state_tells_the_cut_kinds_apart(self):
+        # (I + X^4 + Y^4 + Z^4) / 16 (Smolin, PRA 63, 032306 (2001)): only Y^T = -Y,
+        # so a partial transpose on one party flips Y^4's sign and has eigenvalue
+        # -1/8, while one on two parties keeps rho, which is separable on every 2|2 cut
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        rho = (np.eye(16) + sum(functools.reduce(np.kron, [p] * 4) for p in paulis)) / 16
+        report = validate_state(rho)
+        # the four 1|3 cuts, then the three 2|2 cuts
+        assert report.pt_min_eigenvalues == pytest.approx([-0.125] * 4 + [0.0] * 3, abs=1e-12)
+        assert report.pt_invariance_deviation == pytest.approx(0.125, abs=1e-12)
+        assert report.permutation_symmetry_deviation == 0.0
+        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
