@@ -3,10 +3,10 @@ that reads the number of parties from its inputs.
 
 Submodules:
     tolerances -- every numerical tolerance, with its reason
-    linalg     -- the Hermiticity gate for `state`; Hermitian spectra and the
-                  reference partial transpose for the tests and the benchmark
-    state      -- the shared 3-qubit bound entangled state, and the
-                  certificates of any 2-5 qubit state on every bipartition
+    state      -- the shared 3-qubit bound entangled state, its own gates, and
+                  the certificates of any 2-5 qubit state on every bipartition
+    linalg     -- references only, for the tests and the benchmark: the partial
+                  transpose, and Hermitian spectra behind state's gate
     bell       -- Bell inequalities, classical bounds, one float-or-exact Born
                   contraction for probabilities, S and B; the paper's game
     ccp        -- the communication game: input distribution, target,

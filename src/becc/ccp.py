@@ -63,9 +63,9 @@ def success_probability(value, sum_abs_g):
     return 0.5 * (1.0 + value / sum_abs_g)
 
 
-def exact_success_quantum(s_value: float, sum_abs_g) -> float:
+def exact_success_quantum(s_value, sum_abs_g):
     """Quantum success probability from the Bell expression value S."""
-    return success_probability(s_value, float(sum_abs_g))
+    return success_probability(s_value, sum_abs_g)
 
 
 def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fraction]:

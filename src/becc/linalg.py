@@ -1,23 +1,14 @@
-"""Dense complex linear algebra for few-qubit states.
+"""Reference linear algebra for the tests and the benchmark.
 
-Everything here works on small (<= 32x32) numpy arrays of complex (or real)
-dtype, or on stacks of them along leading axes.  All functions are pure
-and never mutate their arguments.
+partial_transpose transposes one tensor factor; hermitian_eigenvalues
+diagonalizes behind state's Hermiticity gate.  Both take small numpy
+arrays, or stacks of them along leading axes, and never mutate them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import tolerances
-
-
-def _as_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
+from .state import _as_square, hermiticity_deviation
 
 
 def partial_transpose(m: np.ndarray, party: int, local_dims: list[int]) -> np.ndarray:
@@ -39,16 +30,6 @@ def partial_transpose(m: np.ndarray, party: int, local_dims: list[int]) -> np.nd
     axes = list(range(2 * n))
     axes[k], axes[n + k] = axes[n + k], axes[k]
     return t.transpose(axes).reshape(m.shape)
-
-
-def hermiticity_deviation(m: np.ndarray) -> float:
-    """Max entry-wise |m - m^dagger|, over every matrix of a stack; above
-    ``tolerances.FLOAT`` it raises, as that almost always means a construction bug."""
-    m = _as_square(m)
-    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-    if dev > tolerances.FLOAT:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return dev
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

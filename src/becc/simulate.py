@@ -111,7 +111,8 @@ class GameTables:
         self.correlations = bell.correlations(born)
         # before born[idx]: expression_value checks g's support against the observables
         s = self.quantum_value = bell.expression_value(g, self.correlations)
-        self.p_quantum_exact = ccp.exact_success_quantum(s, self.ineq.sum_abs())
+        w = self.ineq.sum_abs()  # sum |g|, an int when integral as for P_C: exact S, exact P_Q
+        self.p_quantum_exact = ccp.success_probability(s, int(w) if w.is_integer() else w)
         self.support = list(zip(*np.array(idx).tolist()))
         self.q_support = ccp.input_distribution(g)[idx]
         self.target_sign = np.where(g[idx] > 0, 1, -1)
@@ -198,7 +199,7 @@ def gap_experiment(shots: int, seed: int = 0, shards: int = 1,
     report = run_protocol(
         SimulationConfig(shots=shots, seed=seed, protocol="quantum", shards=shards),
         tables)
-    p_q = tables.p_quantum_exact
+    p_q = float(tables.p_quantum_exact)
     gap = p_q - p_c
     expected_stderr = math.sqrt(p_q * (1.0 - p_q) / shots)
     z = (report.empirical_probability - p_c) / math.sqrt(p_c * (1.0 - p_c) / shots)

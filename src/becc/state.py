@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, tolerances
+from . import tolerances
 
 # Mixture weights p_1..p_4 as printed (sum = 1.0000009; renormalized below).
 MIXTURE_WEIGHTS = (0.0636039, 0.273734, 0.273734, 0.388929)
@@ -86,6 +86,25 @@ def _gathers(n: int) -> np.ndarray:
     return np.stack(views).reshape(-1, 2 ** n, 2 ** n)
 
 
+def _as_square(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    return m
+
+
+def hermiticity_deviation(m: np.ndarray) -> float:
+    """Max entry-wise |m - m^dagger|, over every matrix of a stack; above
+    ``tolerances.FLOAT`` it raises, as that almost always means a construction bug."""
+    m = _as_square(m)
+    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    if dev > tolerances.FLOAT:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    return dev
+
+
 def validate_state(rho: np.ndarray) -> StateReport:
     """Measure every certificate of an n-qubit state, 2 <= n <= 5; rho and
     its partial transposes on all 2^(n-1) - 1 cuts are diagonalized as one stack."""
@@ -94,7 +113,7 @@ def validate_state(rho: np.ndarray) -> StateReport:
     # the n! permutations set the cap: at n = 6 the cached indices take ~24 MB
     if not 2 <= n <= 5 or rho.shape != (2 ** n,) * 2:
         raise ValueError(f"expected a 2^n x 2^n matrix, 2 <= n <= 5, got shape {rho.shape}")
-    hermiticity, views = linalg.hermiticity_deviation(rho), rho.reshape(-1)[_gathers(n)]
+    hermiticity, views = hermiticity_deviation(rho), rho.reshape(-1)[_gathers(n)]
     n_pt = 2 ** (n - 1)  # rho and its 2^(n-1) - 1 partial transposes
     eigs = np.linalg.eigvalsh(views[:n_pt])  # as Hermitian as rho: they permute its entries
     return StateReport(

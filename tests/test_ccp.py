@@ -108,6 +108,12 @@ class TestSuccessProbability:
     def test_quantum_headline(self):
         assert exact_success_quantum(8.00685, 22) == pytest.approx(0.681974, abs=1e-5)
 
+    def test_quantum_follows_the_exactness_rule(self):
+        # a float S gives success_probability's float, rational inputs a Fraction
+        assert exact_success_quantum(8.00685, 22) == success_probability(8.00685, 22.0)
+        p = exact_success_quantum(Fraction(88027, 11000), 22)
+        assert type(p) is Fraction and p == success_probability(Fraction(88027, 11000), 22)
+
     def test_zero_value_is_coin_flip(self):
         assert success_probability(0, 7) == Fraction(1, 2)
 

@@ -292,16 +292,25 @@ def test_console_script_is_main():
         assert tomllib.load(f)["project"]["scripts"]["becc"] == "becc.cli:main"
 
 
-@pytest.mark.parametrize("module", ["numpy.random", "csv"])
-def test_cold_import_leaves_module_unloaded(module):
+@pytest.mark.parametrize("module,argv", [
+    ("numpy.random", []), ("csv", []), ("becc.linalg", []),
+    ("becc.linalg", ["reproduce-paper", "--format", "json"]),
+    ("becc.linalg", ["state", "validate"]),
+], ids=["numpy.random", "csv", "becc.linalg", "becc.linalg-reproduce-paper",
+        "becc.linalg-state-validate"])
+def test_cold_import_leaves_module_unloaded(module, argv):
     # numpy.random: _shard_rng's return annotation would import it on every
     # cold start if it were evaluated; `from __future__ import annotations`
-    # keeps it a string.  csv: emit imports it only for --format csv
+    # keeps it a string.  csv: emit imports it only for --format csv.
+    # becc.linalg: references for the tests and the benchmark only; a
+    # command's certificates go through state's own Hermiticity gate
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = f"import sys, becc.cli; sys.exit({module!r} in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (f"import sys, becc.cli; code = becc.cli.main({argv!r}) if {argv!r} else 0; "
+            f"sys.exit(code or 2 * ({module!r} in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -7,9 +7,9 @@ the stacked and gathered arrays, and the per-ket, per-transpose and
 per-outcome builds that the array forms must equal bit for bit.  The
 Born contraction on Fraction arrays must equal its float table, and
 the Bell operator of Fraction observables its exact kron sum and, at
-two parties, its value S(|i><j|) on every matrix unit.  The
-search, the Born table and the game tables are checked with 2, 3 and 4
-parties."""
+two parties, its value S(|i><j|) on every matrix unit; game tables of
+Fraction inputs keep S, P_C and P_Q exact.  The search, the Born table
+and the game tables are checked with 2, 3 and 4 parties."""
 import functools
 import itertools
 import math
@@ -21,9 +21,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from becc import bell, ccp, linalg, simulate, state
+
+
+# for the examples that run bell_operator or the exact Born table: shrinking
+# a failing one, whose every step runs on Fraction arrays, took minutes where
+# reporting it unshrunk takes seconds
+NO_SHRINK = settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 def sparse_tables(n_settings, n_parties=3):
@@ -187,7 +193,7 @@ def test_born_outputs_on_random_states(seed, entries):
     assert abs(bell.quantum_value(ineq, rho, obs)) <= ineq.sum_abs()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(NO_SHRINK, max_examples=20)
 @given(st.integers(0, 2 ** 32 - 1), party_tables(3))
 def test_bell_operator_matches_kron_oracle(seed, entries):
     n = parties(entries)
@@ -228,7 +234,7 @@ def exact_inputs(rng, n):
     return exact(gram) / int(np.trace(gram)), obs
 
 
-@settings(max_examples=20, deadline=None)
+@settings(NO_SHRINK, max_examples=20)
 @given(st.integers(0, 2 ** 32 - 1), party_tables(3))
 def test_exact_born_table_matches_float_table(seed, entries):
     rho, obs = exact_inputs(np.random.default_rng(seed), parties(entries))
@@ -283,7 +289,7 @@ def assert_exact_bell_operator(g, rho, obs):
     assert np.trace(rho @ b) == s
 
 
-@settings(max_examples=20, deadline=None)
+@settings(NO_SHRINK, max_examples=20)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3).flatmap(lambda n: sparse_tables(3, n)))
 def test_exact_bell_operator_matches_kron_oracle(seed, entries):
     rho, obs = exact_inputs(np.random.default_rng(seed), parties(entries))
@@ -306,7 +312,7 @@ def unit_path_bell_operator(g, obs):
     return np.reshape(s, (dim, dim)).T
 
 
-@settings(max_examples=20, deadline=None)
+@settings(NO_SHRINK, max_examples=20)
 @given(st.integers(0, 2 ** 32 - 1), sparse_tables(3, 2))
 def test_exact_bell_operator_matches_unit_path_oracle(seed, entries):
     _, obs = exact_inputs(np.random.default_rng(seed), 2)
@@ -317,7 +323,7 @@ def test_exact_bell_operator_matches_unit_path_oracle(seed, entries):
     assert (b == want).all()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(NO_SHRINK, max_examples=30)
 @given(st.integers(0, 2 ** 32 - 1), party_tables(3))
 def test_bell_operator_spectrum_within_sum_abs(seed, entries):
     # every O_x is a tensor product of reflections and identities, of
@@ -328,7 +334,7 @@ def test_bell_operator_spectrum_within_sum_abs(seed, entries):
     assert np.abs(eigs).max() <= ineq.sum_abs() * (1 + 1e-12)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(NO_SHRINK, max_examples=30)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3).flatmap(
     lambda n: st.tuples(sparse_tables(3, n), st.permutations(range(n)))))
 def test_bell_operator_permutes_with_the_parties(seed, case):
@@ -541,6 +547,26 @@ def test_game_tables_match_per_tuple_oracle(entries, seed):
         assert np.array_equal(tables.outcome_pmf["classical"][k], one_hot)
     terms = [g[x] * corr[x] for x in support]
     assert tables.quantum_value == float(sum(terms))  # left to right, as numpy scalars
+
+
+@settings(NO_SHRINK, max_examples=10)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3))
+def test_exact_game_tables_give_exact_success_probabilities(seed, n):
+    # a Fraction Gram state and rational reflections: CHSH on settings 1 and 2
+    # at n = 2, the built-in game at n = 3; S, P_C and P_Q all stay exact
+    rho, obs = exact_inputs(np.random.default_rng(seed), n)
+    chsh = np.zeros((3, 3))
+    chsh[1:, 1:] = [[1, 1], [1, -1]]
+    ineq = bell.Inequality(chsh, -2, 2) if n == 2 else bell.homogenize(bell.sliwa5())
+    tables = simulate.GameTables(rho, obs, ineq)
+    assert type(tables.quantum_value) is Fraction
+    assert type(tables.p_classical_exact) is Fraction
+    assert type(tables.p_quantum_exact) is Fraction
+    sum_abs = int(np.abs(ineq.g).sum())
+    assert tables.p_quantum_exact == ccp.success_probability(tables.quantum_value, sum_abs)
+    float_tables = simulate.GameTables(
+        rho.astype(float), [[o.astype(float) for o in row] for row in obs], ineq)
+    assert float(tables.p_quantum_exact) == pytest.approx(float_tables.p_quantum_exact, abs=1e-12)
 
 
 def test_becc_deprecation_warning_is_an_error():

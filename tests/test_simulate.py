@@ -357,6 +357,12 @@ class TestGapExperiment:
         assert report.p_quantum_exact == pytest.approx(0.681974, abs=1e-5)
         assert report.exact_gap == pytest.approx(1.56e-4, abs=1e-5)
 
+    def test_quantum_success_keeps_its_bits(self, tables):
+        # (1 + S/22)/2 of the float S, with sum |g| = 22 passed as an int
+        assert type(tables.p_quantum_exact) is float
+        assert tables.p_quantum_exact.hex() == "0x1.5d2baf291fe66p-1"
+        assert tables.p_quantum_exact == ccp.success_probability(tables.quantum_value, 22)
+
     def test_power_threshold_arithmetic(self, tables):
         # stderr = sqrt(p(1-p)/shots) drops below gap/4 around 1.4e8 shots;
         # at 4e8 shots the expected z-score is ~6.7

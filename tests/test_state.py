@@ -174,6 +174,12 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_state(np.eye(6))
 
+    def test_deviation_is_measured_within_the_gate_and_rejected_above_it(self):
+        m = np.array([[0.0, 1.0 + 1e-10], [1.0, 0.0]])
+        assert state.hermiticity_deviation(m) == abs(m[0, 1] - m[1, 0])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            state.hermiticity_deviation(np.array([[0.0, 1.0 + 1e-8], [1.0, 0.0]]))
+
     def test_report_dict_roundtrips_json(self, rho):
         d = validate_state(rho).to_dict()
         assert json.loads(json.dumps(d)) == {
