@@ -149,12 +149,12 @@ def sample_counts(config: SimulationConfig,
     Shots are split across shards as evenly as possible (the first
     shots % shards shards get one extra); shard k draws
     Multinomial(n_k, pi) from its own stream with
-    pi(x, a) = Q(x) P(a|x), and shard counts add, so the result does not
-    depend on execution order.
+    pi(x, a) = Q(x) P(a|x) as floats (an exact table's Fractions too), and
+    shard counts add, so the result does not depend on execution order.
     """
     tables = tables or default_tables()
     pmf = tables.outcome_pmf[config.protocol]
-    pi = (tables.q_support[:, None] * pmf).ravel()
+    pi = np.asarray((tables.q_support[:, None] * pmf).ravel(), dtype=float)
     base, extra = divmod(config.shots, config.shards)
     counts = sum(_shard_rng(config.seed, k).multinomial(base + (k < extra), pi)
                  for k in range(config.shards))

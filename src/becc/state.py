@@ -1,10 +1,9 @@
 """The three-qubit bound entangled state shared by the parties.
 
-The state is a fixed mixture of four pure states given by 6-decimal
-amplitudes.  Those printed decimals carry ~1e-6 rounding, so certificates
-driven by them (permutation symmetry, partial-transpose invariance) are
-checked at ``tolerances.TRANSCRIPTION``, while anything driven only by
-floating-point arithmetic is checked at ``tolerances.FLOAT``.
+The state is a fixed mixture of four pure states given by 6-decimal amplitudes.
+``StateReport.certified`` is the verdict: permutation symmetry and the partial
+transposes' invariance and positivity pass at ``tolerances.TRANSCRIPTION`` (the
+digits' ~1e-6 rounding), trace and least eigenvalue at ``tolerances.FLOAT`` (arithmetic).
 
 Basis convention: party 1 is the most significant qubit, so basis index
 b = 4*b1 + 2*b2 + b3 corresponds to |b1 b2 b3>.
@@ -34,7 +33,7 @@ PURE_STATE_AMPLITUDES = (
 
 
 class StateReport(NamedTuple):
-    """Numerical certificates of the built-in state."""
+    """Numerical certificates of a state (Hermiticity gates in ``validate_state``)."""
     trace_deviation: float
     hermiticity_deviation: float
     min_eigenvalue: float
@@ -44,6 +43,15 @@ class StateReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return self._asdict()
+
+    @property
+    def certified(self) -> bool:
+        """PPT on every cut and party-symmetric, at the module docstring's gates;
+        each is a comparison, so a NaN fails it.  Not entanglement: I/2^n passes."""
+        f, t = tolerances.FLOAT, tolerances.TRANSCRIPTION
+        return (self.trace_deviation <= f and self.min_eigenvalue >= -f
+                and self.pt_invariance_deviation <= t and self.permutation_symmetry_deviation <= t
+                and all(e >= -t for e in self.pt_min_eigenvalues))
 
 
 def _check_transcription(norms) -> None:

@@ -9,8 +9,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from becc import bell, simulate, state
+from becc import bell, simulate, state, tolerances
 from becc.cli import emit, main
+
+# each certificate's bound in StateReport.certified: an upper bound when
+# positive, a lower bound when negative (for pt_min_eigenvalues, on each cut)
+CERTIFICATE_GATES = {
+    "trace_deviation": tolerances.FLOAT,
+    "min_eigenvalue": -tolerances.FLOAT,
+    "pt_invariance_deviation": tolerances.TRANSCRIPTION,
+    "permutation_symmetry_deviation": tolerances.TRANSCRIPTION,
+    "pt_min_eigenvalues": -tolerances.TRANSCRIPTION,
+}
+
+
+def beyond(bound):
+    """The next float past a gate's bound, away from zero."""
+    return math.nextafter(bound, math.copysign(math.inf, bound))
+
+
+def moved_certificates(report, values):
+    """report with the named certificates set to values; a pt_min_eigenvalues
+    value replaces the last cut's minimum only."""
+    if "pt_min_eigenvalues" in values:
+        values = {**values, "pt_min_eigenvalues":
+                  report.pt_min_eigenvalues[:-1] + (values["pt_min_eigenvalues"],)}
+    return report._replace(**values)
 
 
 def run(capsys, *argv):
@@ -27,14 +51,21 @@ class TestStateCommands:
         assert doc["pt_invariance_deviation"] <= 1e-6
         assert doc["permutation_symmetry_deviation"] <= 1e-5
 
-    def test_validate_rejects_negative_eigenvalue(self, capsys, monkeypatch):
-        # rho is a mixture of pure states with positive weights, so PSD up
-        # to rounding: -1e-8 is far beyond FLOAT
-        validate = state.validate_state
-        monkeypatch.setattr(state, "validate_state",
-                            lambda rho: validate(rho)._replace(min_eigenvalue=-1e-8))
+    @pytest.mark.parametrize("values, certified", [
+        *[pytest.param({name: beyond(bound)}, False, id=f"{name}-past")
+          for name, bound in CERTIFICATE_GATES.items()],
+        *[pytest.param({name: math.nan}, False, id=f"{name}-nan") for name in CERTIFICATE_GATES],
+        pytest.param(CERTIFICATE_GATES, True, id="all-at-gate"),
+    ])
+    def test_validate_exits_on_each_gate(self, capsys, monkeypatch, values, certified):
+        # one certificate one float past its gate, or NaN, exits 1; all five
+        # exactly at their gates exit 0.  A NaN report also breaks the output
+        # contract and exits 1 anyway, so the verdict itself is asserted too
+        report = moved_certificates(state.validate_state(state.build_vb_state()), values)
+        assert report.certified is certified
+        monkeypatch.setattr(state, "validate_state", lambda rho: report)
         code, _ = run(capsys, "state", "validate", "--format", "json")
-        assert code == 1
+        assert code == (0 if certified else 1)
 
     def test_dump_parses(self, capsys):
         code, out = run(capsys, "state", "dump")

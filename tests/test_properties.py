@@ -567,6 +567,12 @@ def test_exact_game_tables_give_exact_success_probabilities(seed, n):
     float_tables = simulate.GameTables(
         rho.astype(float), [[o.astype(float) for o in row] for row in obs], ineq)
     assert float(tables.p_quantum_exact) == pytest.approx(float_tables.p_quantum_exact, abs=1e-12)
+    # the sampler draws from the exact cell law cast to floats: p_hat is within 5 sigma of P_Q
+    shots, p_q = 10 ** 6, float(tables.p_quantum_exact)
+    report = simulate.run_protocol(simulate.SimulationConfig(shots, seed=seed), tables)
+    assert abs(report.empirical_probability - p_q) <= 5 * math.sqrt(p_q * (1 - p_q) / shots)
+    gap = simulate.gap_experiment(shots, seed=seed, tables=tables)
+    assert gap.simulation.successes == report.successes and gap.p_quantum_exact == p_q
 
 
 def test_becc_deprecation_warning_is_an_error():

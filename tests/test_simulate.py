@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from becc import bell, ccp, simulate, state, tolerances
+from becc import bell, ccp, simulate, state
 from becc.simulate import (
     GameTables,
     SimulationConfig,
@@ -335,13 +335,14 @@ class TestAbstractClaim:
         t = textbook_tables(name)
         cuts = 2 ** (t.ineq.g.ndim - 1) - 1  # 1, 3 and 7 for Phi+, GHZ_3 and GHZ_4
         # GHZ_n's partial transpose on any cut has eigenvalue -1/2, up to one ulp
-        eigs = state.validate_state(t.rho).pt_min_eigenvalues
-        assert eigs == pytest.approx([-0.5] * cuts, abs=1e-15)
+        report = state.validate_state(t.rho)
+        assert report.pt_min_eigenvalues == pytest.approx([-0.5] * cuts, abs=1e-15)
+        assert not report.certified
         assert t.p_quantum_exact > t.p_classical_exact
 
     def test_paper_state_is_ppt_on_every_cut(self, tables):
-        eigs = state.validate_state(tables.rho).pt_min_eigenvalues
-        assert len(eigs) == 3 and all(e >= -tolerances.TRANSCRIPTION for e in eigs)
+        report = state.validate_state(tables.rho)
+        assert len(report.pt_min_eigenvalues) == 3 and report.certified
         assert tables.p_quantum_exact > tables.p_classical_exact
 
 

@@ -169,6 +169,14 @@ class TestValidate:
         assert report.pt_invariance_deviation == pytest.approx(0.125, abs=1e-12)
         assert report.permutation_symmetry_deviation == 0.0
         assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+        assert not report.certified  # -1/8 on the 1|3 cuts
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_maximally_mixed_state_is_certified(self, n):
+        # PPT and party-symmetric, yet separable: the verdict certifies no entanglement
+        report = validate_state(np.eye(2 ** n) / 2 ** n)
+        assert report.pt_min_eigenvalues == (2.0 ** -n,) * (2 ** (n - 1) - 1)
+        assert report.certified
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
