@@ -56,6 +56,13 @@ def coefficient_table(g) -> np.ndarray:
     return g
 
 
+def table_weight(g) -> int | float:
+    """sum |g|, the normaliser of Q and of P = (1 + S/sum|g|)/2: an int when g is integral
+    and sums below 2^53, so every float sum of its signed entries is exact; else a float."""
+    g = np.abs(coefficient_table(g))
+    return int(w) if (w := g.sum()) < 2 ** 53 and (np.rint(g) == g).all() else float(w)
+
+
 class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", float),
                                            ("upper_bound", float)])):
     """lower_bound <= sum_x g(x) E(x) <= upper_bound for every classical
@@ -77,8 +84,9 @@ class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", fl
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def sum_abs(self) -> float:
-        return float(np.abs(self.g).sum())
+    def sum_abs(self) -> int | float:
+        """sum |g| as table_weight gives it: an int exactly when g is integral."""
+        return table_weight(self.g)
 
 
 # Base terms of Sliwa's inequality #5 as setting tuples, 0 for an absent
@@ -250,13 +258,17 @@ OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
 def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """Joint outcome distributions P(a_1..a_n | x) on an n-qubit rho, one observable list
-    per party, shape (settings of party 1, ..., of party n, 2^n), outcomes as in
+    """Joint outcome distributions P(a_1..a_n | x) on a 2^n x 2^n rho, one list of 2x2
+    observables per party, shape (settings of party 1, ..., of party n, 2^n), outcomes as in
     outcome_signs: rho as (2,)*2n contracted with each party's projectors (I +- O)/2 in
     turn, by integer constants, so Fraction rho and obs stay exact.  Float probabilities
     within NEGATIVITY below zero are clamped and each distribution renormalized; a more
     negative one, an imaginary part or a sum off 1 by more than FLOAT is an error."""
     n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
+    if np.shape(rho) != (2 ** n,) * 2:
+        raise ValueError(f"rho {np.shape(rho)} must be {2 ** n}x{2 ** n} for {n} observable lists")
+    if bad := {np.shape(o) for o in itertools.chain(*obs)} - {(2, 2)}:
+        raise ValueError(f"every observable must be 2x2, got shape {min(bad)}")
     p = np.asarray(rho).reshape((2,) * 2 * n)
     # labels: party k's row and column axes k and n + k (as in rho), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1

@@ -4,8 +4,8 @@ Inputs: each of the g.ndim parties gets a uniform bit y_i in {-1,+1} and
 a setting x_i, with x drawn from Q(x) = |g(x)| / sum|g|.  The common
 target is f = y_1...y_n sign(g(x)).  Each party broadcasts one bit; the
 guess, their product, is right with P = (1 + S/sum|g|)/2 for a strategy
-of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  Classical
-success probabilities are exact rationals for an integral table.
+of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  P_C and P_Q
+are Fractions when g is integral (bell.table_weight) and S exact, else floats.
 """
 from __future__ import annotations
 
@@ -17,13 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bell import ClassicalStrategy, coefficient_table, search_strategies
+from .bell import ClassicalStrategy, coefficient_table, search_strategies, table_weight
 
 
 def input_distribution(g: np.ndarray) -> np.ndarray:
     """Q(x) = |g(x)| / sum |g| as a probability table of g's shape."""
-    g = np.abs(coefficient_table(g))
-    return g / g.sum()
+    return np.abs(coefficient_table(g)) / table_weight(g)
 
 
 class GameInstance(NamedTuple):
@@ -68,20 +67,16 @@ def exact_success_quantum(s_value, sum_abs_g):
     return success_probability(s_value, sum_abs_g)
 
 
-def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fraction]:
+def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fraction | float]:
     """Exhaustive search over per-party sign functions on the q-supported
     settings (512 strategies for the built-in game).
 
     Returns the lexicographically smallest maximizer of P(A = f) together
-    with its exact success probability.
+    with its success probability, a Fraction exactly when g is integral.
     """
-    _, best, argmax, _ = search_strategies(g, False)  # validates g: .real drops nothing
-    g = np.asarray(np.asarray(g).real, dtype=float)
-    # exact test: a table within rounding of integers is not integral, and
-    # truncating its sums could give a success probability above 1
-    integral = np.array_equal(g, np.round(g))
-    sum_abs = int(np.abs(g).sum()) if integral else float(np.abs(g).sum())
-    return argmax, success_probability(int(round(best)) if integral else best, sum_abs)
+    _, best, argmax, _ = search_strategies(g, False)
+    w = table_weight(g)  # an int only when every float sum of g, best too, is exact
+    return argmax, success_probability(round(best) if isinstance(w, int) else best, w)
 
 
 def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:

@@ -77,7 +77,7 @@ def cmd_game_exact(args) -> tuple[dict, bool]:
     tables = simulate.default_tables()
     p_c, p_q = tables.p_classical_exact, tables.p_quantum_exact
     return {
-        "sum_abs_g": tables.ineq.sum_abs(),
+        "sum_abs_g": float(tables.ineq.sum_abs()),
         "classical_bound": tables.ineq.upper_bound,
         "quantum_value": tables.quantum_value,
         "p_c": float(p_c),

@@ -111,8 +111,7 @@ class GameTables:
         self.correlations = bell.correlations(born)
         # before born[idx]: expression_value checks g's support against the observables
         s = self.quantum_value = bell.expression_value(g, self.correlations)
-        w = self.ineq.sum_abs()  # sum |g|, an int when integral as for P_C: exact S, exact P_Q
-        self.p_quantum_exact = ccp.success_probability(s, int(w) if w.is_integer() else w)
+        self.p_quantum_exact = ccp.success_probability(s, self.ineq.sum_abs())  # P_C's weight too
         self.support = list(zip(*np.array(idx).tolist()))
         self.q_support = ccp.input_distribution(g)[idx]
         self.target_sign = np.where(g[idx] > 0, 1, -1)

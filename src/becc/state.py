@@ -54,14 +54,6 @@ class StateReport(NamedTuple):
                 and all(e >= -t for e in self.pt_min_eigenvalues))
 
 
-def _check_transcription(norms) -> None:
-    for i, norm in enumerate(norms):
-        if abs(norm - 1.0) > tolerances.TRANSCRIPTION:
-            raise AssertionError(f"pure state {i + 1} has norm {norm}")
-    if abs(sum(MIXTURE_WEIGHTS) - 1.0) > tolerances.TRANSCRIPTION:
-        raise AssertionError(f"mixture weights sum to {sum(MIXTURE_WEIGHTS)}")
-
-
 def build_vb_state() -> np.ndarray:
     """Build the 8x8 density matrix from the compiled-in constants.
 
@@ -72,9 +64,13 @@ def build_vb_state() -> np.ndarray:
     # moves rho's last bits; each norm is np.linalg.norm's sqrt(re.re + im.im)
     kets = np.array(PURE_STATE_AMPLITUDES, dtype=complex)
     norms = np.sqrt(sum(r[:, None] @ r[:, :, None] for r in (kets.real, kets.imag)).ravel())
-    _check_transcription(norms)
-    kets = kets / norms[:, None]
+    for i, norm in enumerate(norms):
+        if abs(norm - 1.0) > tolerances.TRANSCRIPTION:
+            raise AssertionError(f"pure state {i + 1} has norm {norm}")
     wsum = sum(MIXTURE_WEIGHTS)
+    if abs(wsum - 1.0) > tolerances.TRANSCRIPTION:
+        raise AssertionError(f"mixture weights sum to {wsum}")
+    kets = kets / norms[:, None]
     weights = np.array([w / wsum for w in MIXTURE_WEIGHTS])[:, None, None]
     # sum over axis 0 adds the four components in order, as a += loop would
     return (weights * (kets[:, :, None] * kets.conj()[:, None, :]).real).sum(axis=0)

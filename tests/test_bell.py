@@ -201,7 +201,20 @@ class TestHomogenize:
         assert np.array_equal(shifted, original.g)
 
     def test_sum_abs(self, hom):
-        assert hom.sum_abs() == 22
+        assert hom.sum_abs() == 22 and type(hom.sum_abs()) is int
+
+    @pytest.mark.parametrize("entries,weight", [
+        ({(0, 0): 2.0 ** 53 - 2, (0, 1): -1.0}, 2 ** 53 - 1),  # integral, exact sums
+        ({(1, 0): 0.5, (0, 1): -2.5}, 3.0),  # not integral, though the sum is exact
+        ({(0, 0): 22.0, (0, 1): 2.0 ** -60}, 22.0),  # the sum rounds to an integer
+        ({(0, 0): 2.0 ** 53, (0, 1): 1.0}, 2.0 ** 53),  # integral, the sum rounds
+    ])
+    def test_weight_is_an_int_only_when_every_sum_is_exact(self, entries, weight):
+        # an int weight makes P = (1 + S/sum|g|)/2 a Fraction for an exact S
+        g = np.zeros((2, 2))
+        for x, c in entries.items():
+            g[x] = c
+        assert type(bell.table_weight(g)) is type(weight) and bell.table_weight(g) == weight
 
     def test_json_roundtrip(self, hom, capsys):
         # n and settings are read from g's shape; g and the bound rebuild
@@ -338,10 +351,19 @@ class TestBornTable:
         (np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]), "negative outcome probability"),
         (np.eye(8) / 4, "sum to"),
         (np.eye(8) / 8 + 1e-3j * np.triu(np.ones((8, 8)), 1), "imaginary part"),
+        # a shape misfit, as (rho, edit of the observables): these raised
+        # numpy's reshape and ragged-array errors, not a message naming the shapes
+        pytest.param((np.eye(8) / 8, lambda obs: obs[:2]),
+                     r"rho \(8, 8\) must be 4x4 for 2 observable lists",
+                     id="8x8-rho-for-2-parties"),
+        pytest.param((np.eye(8) / 8, lambda obs: [*obs[:2], [*obs[2], np.eye(3)]]),
+                     r"every observable must be 2x2, got shape \(3, 3\)", id="3x3-observable"),
     ])
     def test_rejects_invalid_state(self, obs, bad_rho, match):
-        with pytest.raises(ValueError, match=match):
-            bell.born_table(bad_rho, obs)
+        rho, edit = bad_rho if isinstance(bad_rho, tuple) else (bad_rho, list)
+        for consumer in (bell.born_table, simulate.GameTables):
+            with pytest.raises(ValueError, match=match):
+                consumer(rho, edit(obs))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("consumer", ["born_table", "quantum_value", "GameTables"])

@@ -8,7 +8,8 @@ per-outcome builds that the array forms must equal bit for bit.  The
 Born contraction on Fraction arrays must equal its float table, and
 the Bell operator of Fraction observables its exact kron sum and, at
 two parties, its value S(|i><j|) on every matrix unit; game tables of
-Fraction inputs keep S, P_C and P_Q exact.  The search, the Born table
+Fraction inputs keep S, P_C and P_Q exact on an integral table, and give
+both probabilities as floats on a non-integral one.  The search, the Born table
 and the game tables are checked with 2, 3 and 4 parties."""
 import functools
 import itertools
@@ -567,6 +568,13 @@ def test_exact_game_tables_give_exact_success_probabilities(seed, n):
     float_tables = simulate.GameTables(
         rho.astype(float), [[o.astype(float) for o in row] for row in obs], ineq)
     assert float(tables.p_quantum_exact) == pytest.approx(float_tables.p_quantum_exact, abs=1e-12)
+    # the same table halved is not integral: P_C and P_Q are both floats, of
+    # the same values (S and sum |g| halve alike)
+    half = bell.Inequality(ineq.g / 2, ineq.lower_bound / 2, ineq.upper_bound / 2)
+    halved = simulate.GameTables(rho, obs, half)
+    for p, p_float in ((halved.p_classical_exact, float_tables.p_classical_exact),
+                       (halved.p_quantum_exact, float_tables.p_quantum_exact)):
+        assert type(p) is float and p == pytest.approx(float(p_float), abs=1e-12)
     # the sampler draws from the exact cell law cast to floats: p_hat is within 5 sigma of P_Q
     shots, p_q = 10 ** 6, float(tables.p_quantum_exact)
     report = simulate.run_protocol(simulate.SimulationConfig(shots, seed=seed), tables)

@@ -131,6 +131,22 @@ class TestTables:
         assert rho.flags.writeable and ineq.g.flags.writeable
         assert own.q_support.flags.writeable and own.correlations.flags.writeable
 
+    def test_rounded_weight_gives_float_success_probabilities(self):
+        # exact I/8 and [I, Z, X]: S = g(0, 0, 0) = 5 exactly.  The weight
+        # 22 + 2^-60 rounds to the float 22.0, which gave P_Q the Fraction
+        # 27/44, 4.5e-21 off the exact weight's value, next to a float P_C
+        exact = np.frompyfunc(Fraction, 1, 1)
+        rho = exact(np.eye(8, dtype=int)) / 8
+        obs = [[exact(np.eye(2, dtype=int)), exact(np.diag([1, -1])),
+                exact(np.array([[0, 1], [1, 0]]))] for _ in range(3)]
+        g = bell.homogenize(bell.sliwa5()).g.copy()
+        g[0, 0, 2] = 2.0 ** -60
+        assert np.abs(g).sum() == 22
+        t = GameTables(rho, obs, bell.Inequality(g, -8, 8))
+        assert t.quantum_value == 5
+        assert type(t.p_quantum_exact) is float and type(t.p_classical_exact) is float
+        assert t.p_quantum_exact == 27 / 44
+
     def test_rejects_setting_without_observable(self, obs):
         g = bell.homogenize(bell.sliwa5()).g.copy()
         g[0, 3, 0] = 1
