@@ -257,6 +257,13 @@ def measurement_observables() -> list[list[np.ndarray]]:
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
+def _observable_stacks(obs: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Each party's observables as one (settings, 2, 2) array; anything but 2x2 raises."""
+    if bad := {np.shape(o) for o in itertools.chain(*obs)} - {(2, 2)}:
+        raise ValueError(f"every observable must be 2x2, got shape {min(bad)}")
+    return [np.array(o) for o in obs]
+
+
 def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """Joint outcome distributions P(a_1..a_n | x) on a 2^n x 2^n rho, one list of 2x2
     observables per party, shape (settings of party 1, ..., of party n, 2^n), outcomes as in
@@ -267,12 +274,10 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
     if np.shape(rho) != (2 ** n,) * 2:
         raise ValueError(f"rho {np.shape(rho)} must be {2 ** n}x{2 ** n} for {n} observable lists")
-    if bad := {np.shape(o) for o in itertools.chain(*obs)} - {(2, 2)}:
-        raise ValueError(f"every observable must be 2x2, got shape {min(bad)}")
     p = np.asarray(rho).reshape((2,) * 2 * n)
     # labels: party k's row and column axes k and n + k (as in rho), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1
-    for k, o in enumerate(map(np.array, obs)):
+    for k, o in enumerate(_observable_stacks(obs)):
         stack = (eye + sign * o[:, None]) / 2  # x + (-y) is x - y, bit for bit
         measured = list(range(2 * n, 2 * n + 2 * k + 2))
         rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
@@ -364,11 +369,11 @@ def quantum_value(ineq: Inequality, rho: np.ndarray,
 
 def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the
-    observed settings, contracted once with each party's (settings, 2, 2) observable
-    stack.  Fraction observables take g's entries as Fractions, so B is exact."""
+    observed settings, contracted once with each party's (settings, 2, 2) stack of 2x2
+    observables, all checked as in born_table.  Fraction ones make g, and so B, exact."""
     g, n = coefficient_table(g), len(obs)
     expression_value(g, np.zeros([len(o) for o in obs]))  # raises on a party or setting misfit
-    stacks = [np.array(o[:s]) for o, s in zip(obs, g.shape)]
+    stacks = [t[:s] for t, s in zip(_observable_stacks(obs), g.shape)]
     g = g[tuple(slice(len(t)) for t in stacks)]
     if any(t.dtype == object for t in stacks):
         g = np.frompyfunc(Fraction, 1, 1)(g)

@@ -54,8 +54,8 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
 
 def success_probability(value, sum_abs_g):
     """P = (1 + value/sum|g|) / 2; a Fraction for int, numpy integer or Fraction inputs."""
-    if not sum_abs_g > 0:  # a NaN fails this too
-        raise ValueError("sum |g| must be positive")
+    if not 0 < sum_abs_g < math.inf:  # a NaN fails this too
+        raise ValueError("sum |g| must be positive and finite")
     if isinstance(value, Rational) and isinstance(sum_abs_g, Rational):
         value, sum_abs_g = Fraction(value), Fraction(sum_abs_g)
         return (sum_abs_g + value) / (2 * sum_abs_g)

@@ -111,9 +111,10 @@ class GameTables:
         self.correlations = bell.correlations(born)
         # before born[idx]: expression_value checks g's support against the observables
         s = self.quantum_value = bell.expression_value(g, self.correlations)
-        self.p_quantum_exact = ccp.success_probability(s, self.ineq.sum_abs())  # P_C's weight too
+        # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
+        self.p_quantum_exact = ccp.success_probability(s, w := self.ineq.sum_abs())
         self.support = list(zip(*np.array(idx).tolist()))
-        self.q_support = ccp.input_distribution(g)[idx]
+        self.q_support = np.abs(g[idx]) / w
         self.target_sign = np.where(g[idx] > 0, 1, -1)
         outcomes = bell.outcome_signs(g.ndim)
         self.win = outcomes.prod(axis=1) == self.target_sign[:, None]

@@ -433,3 +433,15 @@ class TestBellOperator:
         assert high == pytest.approx(9.047959571894108, abs=1e-6)
         assert low == pytest.approx(-5.298279667505556, abs=1e-6)
         assert np.trace(rho @ b) == pytest.approx(quantum_value(hom, rho, obs), abs=1e-12)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda obs: [*obs[:2], [*obs[2], np.eye(3)]], id="one-3x3-appended"),
+        pytest.param(lambda obs: [[np.eye(3)] * len(o) for o in obs], id="all-3x3"),
+    ])
+    @pytest.mark.parametrize("consumer", ["born_table", "bell_operator"])
+    def test_rejects_non_2x2_observable(self, hom, obs, edit, consumer):
+        # both contractions read the observables through one check, unobserved ones too
+        call = {"born_table": lambda o: bell.born_table(np.eye(8) / 8, o),
+                "bell_operator": lambda o: bell.bell_operator(hom.g, o)}[consumer]
+        with pytest.raises(ValueError, match=r"every observable must be 2x2, got shape \(3, 3\)"):
+            call(edit(obs))

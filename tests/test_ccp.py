@@ -117,9 +117,10 @@ class TestSuccessProbability:
     def test_zero_value_is_coin_flip(self):
         assert success_probability(0, 7) == Fraction(1, 2)
 
-    @pytest.mark.parametrize("sum_abs_g", [0, -2, math.nan])
+    @pytest.mark.parametrize("sum_abs_g", [0, -2, math.nan, math.inf])
     def test_zero_weight_rejected(self, sum_abs_g):
-        # a negative sum gave the probability -3/4 at value 5, a NaN sum nan
+        # a negative sum gave the probability -3/4 at value 5, a NaN sum nan,
+        # an infinite one the coin flip 1/2
         with pytest.raises(ValueError, match="positive"):
             success_probability(5, sum_abs_g)
 
