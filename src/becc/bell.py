@@ -6,6 +6,8 @@ classical bounds by exhaustive enumeration of deterministic local
 strategies, Born probabilities and quantum values from a shared state
 and one observable list per party, and the built-in three-party game:
 Sliwa's inequality #5, its homogenized form and the paper's observables.
+An object-array operand makes a quantum contraction exact: no float one
+may join it, ints join either, and every entry enters as a Fraction.
 """
 from __future__ import annotations
 
@@ -257,34 +259,45 @@ def measurement_observables() -> list[list[np.ndarray]]:
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
-def _observable_stacks(obs: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Each party's observables as one (settings, 2, 2) array; anything but 2x2 raises."""
-    if bad := {np.shape(o) for o in itertools.chain(*obs)} - {(2, 2)}:
+_FRACTIONS = np.frompyfunc(Fraction, 1, 1)  # how every entry enters an exact contraction
+
+
+def _observable_stacks(obs: list[list[np.ndarray]], *operands) -> tuple[list[np.ndarray], bool]:
+    """Each party's (settings, 2, 2) observable stack, and whether the contraction is exact, in
+    Fractions: it is when obs or operands hold an object array, and then a float one raises."""
+    if empty := [k for k, o in enumerate(obs, 1) if not len(o)]:
+        raise ValueError(f"party {empty[0]} has no observables")
+    found = {(np.shape(o), np.asarray(o).dtype.kind) for o in itertools.chain(*obs)}
+    if bad := {shape for shape, _ in found} - {(2, 2)}:
         raise ValueError(f"every observable must be 2x2, got shape {min(bad)}")
-    return [np.array(o) for o in obs]
+    kinds = {kind for _, kind in found} | {np.asarray(a).dtype.kind for a in operands}
+    if (exact := "O" in kinds) and kinds & {"f", "c"}:
+        raise ValueError("exact (object) and float operands cannot mix")
+    return [_FRACTIONS(np.array(o)) if exact else np.array(o) for o in obs], exact
 
 
 def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """Joint outcome distributions P(a_1..a_n | x) on a 2^n x 2^n rho, one list of 2x2
     observables per party, shape (settings of party 1, ..., of party n, 2^n), outcomes as in
     outcome_signs: rho as (2,)*2n contracted with each party's projectors (I +- O)/2 in
-    turn, by integer constants, so Fraction rho and obs stay exact.  Float probabilities
+    turn, by integer constants, so an exact contraction stays in Fractions.  Float probabilities
     within NEGATIVITY below zero are clamped and each distribution renormalized; a more
     negative one, an imaginary part or a sum off 1 by more than FLOAT is an error."""
     n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
     if np.shape(rho) != (2 ** n,) * 2:
         raise ValueError(f"rho {np.shape(rho)} must be {2 ** n}x{2 ** n} for {n} observable lists")
-    p = np.asarray(rho).reshape((2,) * 2 * n)
+    stacks, exact = _observable_stacks(obs, rho)
+    p = (_FRACTIONS if exact else np.asarray)(rho).reshape((2,) * 2 * n)
     # labels: party k's row and column axes k and n + k (as in rho), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1
-    for k, o in enumerate(_observable_stacks(obs)):
+    for k, o in enumerate(stacks):
         stack = (eye + sign * o[:, None]) / 2  # x + (-y) is x - y, bit for bit
         measured = list(range(2 * n, 2 * n + 2 * k + 2))
         rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
         out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
         p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
     p = p.reshape(p.shape[:n] + (-1,))
-    if p.dtype == object:  # exact: no clamp and no renormalization
+    if exact:  # no clamp and no renormalization
         if min(p.flat) < 0 or (p.sum(axis=-1) != 1).any():
             raise ValueError("exact outcome probabilities must be >= 0 and sum to 1")
         return p
@@ -348,13 +361,13 @@ def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
 
 
 def expression_value(g: np.ndarray, corr: np.ndarray) -> float | complex | Fraction:
-    """S = sum_x g(x) E(x) over the support of g; exact for an object table."""
+    """S = sum_x g(x) E(x) over the support of g; exact for an object table, g as Fractions."""
     if corr.ndim != g.ndim:
         raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
     idx = np.nonzero(g)
     e = on_support(corr, idx) if idx[0].size else coefficient_table(g)  # all-zero g raises
     if e.dtype == object:
-        return sum(Fraction(c) * v for c, v in zip(g[idx], e))
+        return sum(_FRACTIONS(g[idx]) * e)
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
     return sum(g[idx] * e).item()
 
@@ -368,15 +381,14 @@ def quantum_value(ineq: Inequality, rho: np.ndarray,
 
 
 def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
-    """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the
-    observed settings, contracted once with each party's (settings, 2, 2) stack of 2x2
-    observables, all checked as in born_table.  Fraction ones make g, and so B, exact."""
+    """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the observed
+    settings, contracted once with each party's (settings, 2, 2) stack of 2x2 observables, all
+    checked as in born_table; object ones make B exact, with g's entries as Fractions."""
     g, n = coefficient_table(g), len(obs)
     expression_value(g, np.zeros([len(o) for o in obs]))  # raises on a party or setting misfit
-    stacks = [t[:s] for t, s in zip(_observable_stacks(obs), g.shape)]
-    g = g[tuple(slice(len(t)) for t in stacks)]
-    if any(t.dtype == object for t in stacks):
-        g = np.frompyfunc(Fraction, 1, 1)(g)
+    stacks, exact = _observable_stacks(obs)
+    stacks = [t[:s] for t, s in zip(stacks, g.shape)]
+    g = (_FRACTIONS if exact else np.asarray)(g[tuple(slice(len(t)) for t in stacks)])
     # party k's setting, row and column axes are k, n + k and 2n + k
     operands = itertools.chain(*[(t, [k, n + k, 2 * n + k]) for k, t in enumerate(stacks)])
     b = np.einsum(g, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)

@@ -133,7 +133,7 @@ def default_tables() -> GameTables:
     """The built-in game, built once and shared by every caller, so read-only."""
     t = GameTables()
     for a in (t.rho, t.ineq.g, t.q_support, t.target_sign, t.win, t.correlations,
-              *t.outcome_pmf.values()):
+              *t.outcome_pmf.values(), *(o for party in t.obs for o in party)):
         a.flags.writeable = False
     return t
 

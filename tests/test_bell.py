@@ -358,6 +358,9 @@ class TestBornTable:
                      id="8x8-rho-for-2-parties"),
         pytest.param((np.eye(8) / 8, lambda obs: [*obs[:2], [*obs[2], np.eye(3)]]),
                      r"every observable must be 2x2, got shape \(3, 3\)", id="3x3-observable"),
+        # numpy's "operands could not be broadcast together" before
+        pytest.param((np.eye(8) / 8, lambda obs: [obs[0], obs[1], []]),
+                     "party 3 has no observables", id="empty-observable-list"),
     ])
     def test_rejects_invalid_state(self, obs, bad_rho, match):
         rho, edit = bad_rho if isinstance(bad_rho, tuple) else (bad_rho, list)
@@ -377,6 +380,47 @@ class TestBornTable:
                 "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs)}[consumer]
         with pytest.raises(ValueError, match="non-finite"):
             call()
+
+    @pytest.mark.parametrize("consumer,mix", [
+        *itertools.product(["born_table", "quantum_value", "GameTables"],
+                           ["exact-rho", "exact-obs", "fraction-z-in-party-3"]),
+        ("bell_operator", "fraction-z-in-party-3")])
+    def test_rejects_mixed_exact_and_float_operands(self, obs, hom, consumer, mix):
+        # the Born table raised "exact outcome probabilities must be >= 0 and sum
+        # to 1", and B came back as an object array of Python floats
+        exact, rho = np.frompyfunc(Fraction, 1, 1), np.eye(8) / 8
+        if mix == "exact-rho":
+            rho = exact(np.eye(8, dtype=int)) / 8
+        elif mix == "exact-obs":
+            obs = [[exact(o) for o in party] for party in obs]
+        else:  # beyond sliwa5's settings, so B never contracts it
+            obs = [*obs[:2], [*obs[2], exact(np.diag([1, -1]))]]
+        call = {"born_table": lambda: bell.born_table(rho, obs),
+                "quantum_value": lambda: bell.quantum_value(hom, rho, obs),
+                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom),
+                "bell_operator": lambda: bell.bell_operator(sliwa5().g, obs)}[consumer]
+        with pytest.raises(ValueError, match=re.escape("exact (object) and float operands")):
+            call()
+
+    def test_object_int_observables_are_exact(self, hom):
+        # (I +- O) / 2 turned object ints into floats, and the exact table raised
+        # "exact outcome probabilities must be >= 0 and sum to 1"
+        exact = np.frompyfunc(Fraction, 1, 1)
+        rho = exact(np.eye(8, dtype=int)) / 12  # 1/3 |000><000| + 2/3 I/8
+        rho[0, 0] += Fraction(1, 3)
+        ints = [np.eye(2, dtype=int), np.diag([1, -1]), np.array([[0, 1], [1, 0]])]
+        tables = []
+        for obs in ([[o.astype(object) for o in ints]] * 3, [[exact(o) for o in ints]] * 3):
+            tables.append(bell.born_table(rho, obs))
+            assert all(type(p) is Fraction for p in tables[-1].flat)
+            s = bell.quantum_value(hom, rho, obs)
+            assert type(s) is Fraction and s == Fraction(17, 3)
+        assert (tables[0] == tables[1]).all()
+        # ints join the float path too, with the bits of the same observables as floats
+        rho = state.build_vb_state()
+        table = bell.born_table(rho, [ints] * 3)
+        assert table.dtype == np.float64
+        assert table.tobytes() == bell.born_table(rho, [[o * 1.0 for o in ints]] * 3).tobytes()
 
     def test_correlations_reject_nan(self):
         with pytest.raises(ValueError, match="outside"):

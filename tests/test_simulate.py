@@ -119,7 +119,8 @@ class TestTables:
         # every caller gets the one cached object; each write puts back the
         # entry's own value, so a write that went through would change nothing
         for a in (tables.rho, tables.ineq.g, tables.q_support, tables.target_sign,
-                  tables.win, tables.correlations, *tables.outcome_pmf.values()):
+                  tables.win, tables.correlations, *tables.outcome_pmf.values(),
+                  *itertools.chain(*tables.obs)):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
         config = SimulationConfig(1_000_000, seed=3, shards=3)
@@ -130,6 +131,8 @@ class TestTables:
         own = GameTables(rho=rho, obs=obs, ineq=ineq)
         assert rho.flags.writeable and ineq.g.flags.writeable
         assert own.q_support.flags.writeable and own.correlations.flags.writeable
+        simulate.default_tables()  # freezes its own observables, not the caller's
+        assert all(o.flags.writeable for o in itertools.chain(*obs))
 
     def test_rounded_weight_gives_float_success_probabilities(self):
         # exact I/8 and [I, Z, X]: S = g(0, 0, 0) = 5 exactly.  The weight
