@@ -10,8 +10,8 @@ Submodules:
     bell       -- Bell inequalities, classical bounds, one float-or-exact Born
                   contraction for probabilities, S and B; the paper's game
     ccp        -- the communication game: input distribution, target,
-                  exact success probabilities
-    simulate   -- seeded Monte Carlo runs of both protocols
+                  exact success probabilities, and its tables (GameTables)
+    simulate   -- the sampler: seeded Monte Carlo runs of both protocols
     cli        -- command-line front end (`becc`): one table of subcommands
                   whose handlers return a report and a verdict
 """

@@ -39,13 +39,15 @@ def outcome_signs(n_parties: int) -> np.ndarray:
 
 
 def coefficient_table(g) -> np.ndarray:
-    """g as a real float cube with one axis per party, finite and not all
-    zero; anything else raises ValueError."""
+    """g as a real float cube with one axis per party, finite, not all zero
+    and exactly as its entries are; anything else raises ValueError."""
     g = np.asarray(g)
     if g.dtype != float:  # a float64 table is real already
         if np.iscomplexobj(g) and g.imag.any():
             raise ValueError("coefficient table has a non-zero imaginary part")
-        g = np.asarray(g.real, dtype=float)
+        real, g = g.real, np.asarray(g.real, dtype=float)
+        if (lost := np.isfinite(g) & (g.astype(object) != real.astype(object))).any():
+            raise ValueError(f"coefficient table entry {real[lost][0]} is not exactly a float")
     if g.ndim == 0 or len(set(g.shape)) > 1:
         raise ValueError(f"coefficient table must be a cube with an axis per party, "
                          f"got shape {g.shape}")
@@ -273,6 +275,9 @@ def _observable_stacks(obs: list[list[np.ndarray]], *operands) -> tuple[list[np.
     kinds = {kind for _, kind in found} | {np.asarray(a).dtype.kind for a in operands}
     if (exact := "O" in kinds) and kinds & {"f", "c"}:
         raise ValueError("exact (object) and float operands cannot mix")
+    if exact and (bad := [v for a in (*itertools.chain(*obs), *operands) for v in np.ravel(a)
+                          if isinstance(v, (complex, np.complexfloating))]):
+        raise ValueError(f"exact entry {bad[0]} is complex: exact entries must be real")
     return [_FRACTIONS(np.array(o)) if exact else np.array(o) for o in obs], exact
 
 

@@ -4,11 +4,14 @@ Inputs: each of the g.ndim parties gets a uniform bit y_i in {-1,+1} and
 a setting x_i, with x drawn from Q(x) = |g(x)| / sum|g|.  The common
 target is f = y_1...y_n sign(g(x)).  Each party broadcasts one bit; the
 guess, their product, is right with P = (1 + S/sum|g|)/2 for a strategy
-of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  P_C and P_Q
-are Fractions when g is integral (bell.table_weight) and S exact, else floats.
+of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  The sign bits
+cancel: the guess is right exactly when a_1...a_n = sign g(x), the win
+cells of GameTables.  P_C and P_Q are Fractions when g is integral
+(bell.table_weight) and S exact, else floats.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bell, state
 from .bell import ClassicalStrategy, coefficient_table, search_strategies, table_weight
 
 
@@ -54,8 +58,8 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
 
 def success_probability(value, sum_abs_g):
     """P = (1 + value/sum|g|) / 2; a Fraction for int, numpy integer or Fraction inputs."""
-    if not 0 < sum_abs_g < math.inf:  # a NaN fails this too
-        raise ValueError("sum |g| must be positive and finite")
+    if not (0 < sum_abs_g < math.inf and abs(value) < math.inf):  # a NaN fails this too
+        raise ValueError("sum |g| must be positive and finite, and the value finite")
     if isinstance(value, Rational) and isinstance(sum_abs_g, Rational):
         value, sum_abs_g = Fraction(value), Fraction(sum_abs_g)
         return (sum_abs_g + value) / (2 * sum_abs_g)
@@ -91,3 +95,53 @@ def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:
             if strategy.answer(inst) == target_function(inst, g):
                 total += q[x] / 2 ** q.ndim
     return total
+
+
+class GameTables:
+    """Everything a run needs, computed once.
+
+    Holds the q-supported setting tuples with their input probabilities
+    Q(x), the target signs, and per protocol an outcome table P(a|x) over
+    (support, n-bit outcome): Born-rule pmfs for "quantum", a one-hot row
+    at the optimal strategy's answer for "classical".  ``win[x, a]`` marks
+    the cells where the guess equals the target; ``correlations`` is the
+    table E(x) behind the quantum value S.
+    """
+
+    def __init__(self, rho=None, obs=None, ineq: bell.Inequality = None):
+        self.rho = state.build_vb_state() if rho is None else rho
+        self.obs = bell.measurement_observables() if obs is None else obs
+        self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq
+
+        g = self.ineq.g
+        idx = np.nonzero(g)  # the support as index arrays
+        # one Born contraction gives the correlations, S and the outcome tables
+        born = bell.born_table(self.rho, self.obs)
+        self.correlations = bell.correlations(born)
+        # before born[idx]: expression_value checks g's support against the observables
+        s = self.quantum_value = bell.expression_value(g, self.correlations)
+        # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
+        self.p_quantum_exact = success_probability(s, w := self.ineq.sum_abs())
+        self.support = list(zip(*np.array(idx).tolist()))
+        self.q_support = np.abs(g[idx]) / w
+        self.target_sign = np.where(g[idx] > 0, 1, -1)
+        outcomes = bell.outcome_signs(g.ndim)
+        self.win = outcomes.prod(axis=1) == self.target_sign[:, None]
+
+        strategy, self.p_classical_exact = optimal_classical_strategy(g)
+        # the strategy's answers a_i(x_i) on each supported x, as (support, party)
+        answers = np.array(strategy.a)[np.arange(g.ndim)[:, None], np.array(idx)].T
+        self.outcome_pmf = {
+            "quantum": born[idx],
+            "classical": (answers[:, None] == outcomes).all(axis=-1).astype(float),
+        }
+
+
+@functools.cache
+def default_tables() -> GameTables:
+    """The built-in game, built once and shared by every caller, so read-only."""
+    t = GameTables()
+    for a in (t.rho, t.ineq.g, t.q_support, t.target_sign, t.win, t.correlations,
+              *t.outcome_pmf.values(), *(o for party in t.obs for o in party)):
+        a.flags.writeable = False
+    return t

@@ -10,7 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bell, simulate, state
+from . import bell, ccp, state
 
 SIG_DIGITS = 12
 
@@ -62,7 +62,7 @@ def cmd_bell_bounds(args) -> tuple[dict, bool]:
 
 
 def cmd_bell_quantum_value(args) -> tuple[dict, bool]:
-    tables = simulate.default_tables()
+    tables = ccp.default_tables()
     s, bound, corr = tables.quantum_value, tables.ineq.upper_bound, tables.correlations
     return {
         "quantum_value": s,
@@ -74,7 +74,7 @@ def cmd_bell_quantum_value(args) -> tuple[dict, bool]:
 
 
 def cmd_game_exact(args) -> tuple[dict, bool]:
-    tables = simulate.default_tables()
+    tables = ccp.default_tables()
     p_c, p_q = tables.p_classical_exact, tables.p_quantum_exact
     return {
         "sum_abs_g": float(tables.ineq.sum_abs()),
@@ -87,11 +87,14 @@ def cmd_game_exact(args) -> tuple[dict, bool]:
     }, p_q > p_c
 
 
+# the sampler and numpy.random load only where a run is built
 def cmd_game_simulate(args) -> tuple[dict, bool]:
+    from . import simulate
     return simulate.run_protocol(args.config).to_dict(), True
 
 
 def cmd_game_gap(args) -> tuple[dict, bool]:
+    from . import simulate
     c = args.config
     report = simulate.gap_experiment(c.shots, seed=c.seed, shards=c.shards)
     if report.underpowered:
@@ -101,7 +104,7 @@ def cmd_game_gap(args) -> tuple[dict, bool]:
 
 
 def cmd_reproduce_paper(args) -> tuple[dict, bool]:
-    tables = simulate.default_tables()
+    tables = ccp.default_tables()
     orig_lo, orig_hi, _ = bell.classical_extrema(bell.sliwa5())
     hom_lo, hom_hi, _ = bell.classical_extrema(tables.ineq)
     s = tables.quantum_value
@@ -172,6 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "shots"):
         # a run's limits live in SimulationConfig; breaking one is a usage error
+        from . import simulate
         try:
             args.config = simulate.SimulationConfig(
                 shots=args.shots, seed=args.seed, shards=args.shards,

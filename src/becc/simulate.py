@@ -2,12 +2,11 @@
 
 A shot draws a setting tuple x from Q and sign bits y uniformly, yields
 outcomes a (classical: the optimal sign functions; quantum: Born-rule
-outcomes on the shared state), and each party broadcasts y_i * a_i.  The
-guess y_1...y_n a_1...a_n equals the target y_1...y_n sign g(x) exactly
-when a_1...a_n = sign g(x): the sign bits cancel and never affect success.
-A run reports only counts, so the shots of a shard are drawn at once as
-Multinomial(n, pi) over the (setting tuple, outcome) cells, with
-pi(x, a) = Q(x) P(a|x); this is the exact law of the per-shot counts.
+outcomes on the shared state), and each party broadcasts y_i * a_i; it
+wins on a win cell of the game's ccp.GameTables.  A run reports only
+counts, so the shots of a shard are drawn at once as Multinomial(n, pi)
+over the (setting tuple, outcome) cells, with pi(x, a) = Q(x) P(a|x);
+this is the exact law of the per-shot counts.
 
 Randomness comes from numpy's Philox counter-based generator.  Shard k of
 a run is seeded with SeedSequence([seed, k]), so shards are independent
@@ -16,7 +15,6 @@ substreams and the report is a pure function of
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
 from numbers import Integral
@@ -24,9 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bell, ccp, state
 # re-exported: the built-in game's outcome products, and P(a|x) for one setting tuple
 from .bell import OUTCOME_PRODUCT, born_distribution
+# re-exported: the game's tables, one cached default shared with ccp's readers
+from .ccp import GameTables, default_tables
 
 # one SeedSequence and generator per shard; the cap keeps a run's set-up bounded
 MAX_SHARDS = 1024
@@ -86,56 +85,6 @@ class GapReport(NamedTuple):
     def to_dict(self) -> dict:
         d = self._asdict()
         return {**d.pop("simulation").to_dict(), **d}
-
-
-class GameTables:
-    """Everything a run needs, computed once.
-
-    Holds the q-supported setting tuples with their input probabilities
-    Q(x), the target signs, and per protocol an outcome table P(a|x) over
-    (support, n-bit outcome): Born-rule pmfs for "quantum", a one-hot row
-    at the optimal strategy's answer for "classical".  ``win[x, a]`` marks
-    the cells where the guess equals the target; ``correlations`` is the
-    table E(x) behind the quantum value S.
-    """
-
-    def __init__(self, rho=None, obs=None, ineq: bell.Inequality = None):
-        self.rho = state.build_vb_state() if rho is None else rho
-        self.obs = bell.measurement_observables() if obs is None else obs
-        self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq
-
-        g = self.ineq.g
-        idx = np.nonzero(g)  # the support as index arrays
-        # one Born contraction gives the correlations, S and the outcome tables
-        born = bell.born_table(self.rho, self.obs)
-        self.correlations = bell.correlations(born)
-        # before born[idx]: expression_value checks g's support against the observables
-        s = self.quantum_value = bell.expression_value(g, self.correlations)
-        # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
-        self.p_quantum_exact = ccp.success_probability(s, w := self.ineq.sum_abs())
-        self.support = list(zip(*np.array(idx).tolist()))
-        self.q_support = np.abs(g[idx]) / w
-        self.target_sign = np.where(g[idx] > 0, 1, -1)
-        outcomes = bell.outcome_signs(g.ndim)
-        self.win = outcomes.prod(axis=1) == self.target_sign[:, None]
-
-        strategy, self.p_classical_exact = ccp.optimal_classical_strategy(g)
-        # the strategy's answers a_i(x_i) on each supported x, as (support, party)
-        answers = np.array(strategy.a)[np.arange(g.ndim)[:, None], np.array(idx)].T
-        self.outcome_pmf = {
-            "quantum": born[idx],
-            "classical": (answers[:, None] == outcomes).all(axis=-1).astype(float),
-        }
-
-
-@functools.cache
-def default_tables() -> GameTables:
-    """The built-in game, built once and shared by every caller, so read-only."""
-    t = GameTables()
-    for a in (t.rho, t.ineq.g, t.q_support, t.target_sign, t.win, t.correlations,
-              *t.outcome_pmf.values(), *(o for party in t.obs for o in party)):
-        a.flags.writeable = False
-    return t
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

@@ -180,6 +180,29 @@ class TestTableDtypes:
             with pytest.raises(ValueError, match="imaginary"):
                 call()
 
+    @pytest.mark.parametrize("entry,dtype", [(Fraction(1, 3), object), (2 ** 53 + 1, np.int64)],
+                             ids=["one-third", "2^53+1"])
+    def test_entry_float64_cannot_hold_raises(self, entry, dtype):
+        # the float64 cast rounded both: with exact |00><00| and [I, Z], quantum_value
+        # gave 6004799503160661/2^53, not 2/3, and table_weight 0.6666666666666666;
+        # 2^53 + 1 became 2^53 without an error
+        g = np.array([[0, entry], [entry, 0]], dtype=dtype)
+        obs = [[np.eye(2, dtype=int), np.diag([1, -1])]] * 2
+        message = f"coefficient table entry {entry} is not exactly a float"
+        for call in (lambda: Inequality(g, -1, 1), lambda: bell.table_weight(g),
+                     lambda: bell.bell_operator(g, obs)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_exact_half_gives_the_float_results(self):
+        half = np.array([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], dtype=object)
+        floats = half.astype(float)
+        obs = [[np.eye(2), np.diag([1.0, -1.0])]] * 2
+        assert np.array_equal(Inequality(half, -1, 1).g, floats)
+        weight = bell.table_weight(half)
+        assert type(weight) is float and weight == bell.table_weight(floats)
+        assert np.array_equal(bell.bell_operator(half, obs), bell.bell_operator(floats, obs))
+
 
 class TestHomogenize:
     def test_bound(self, hom):
@@ -400,6 +423,26 @@ class TestBornTable:
                 "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom),
                 "bell_operator": lambda: bell.bell_operator(sliwa5().g, obs)}[consumer]
         with pytest.raises(ValueError, match=re.escape("exact (object) and float operands")):
+            call()
+
+    @pytest.mark.parametrize("consumer,where", [
+        *itertools.product(["born_table", "quantum_value", "GameTables"], ["obs", "rho"]),
+        ("bell_operator", "obs")])
+    def test_rejects_complex_exact_entry(self, consumer, where):
+        # Fraction(-1j) raised "TypeError: argument should be a string or a
+        # Rational instance" out of the exact conversion
+        exact = np.frompyfunc(Fraction, 1, 1)
+        rho, eye = exact(np.eye(4, dtype=int)) / 4, exact(np.eye(2, dtype=int))
+        second = np.array([[0, -1j], [1j, 0]], dtype=object)  # Y
+        if where == "rho":
+            second = exact(np.diag([1, -1]))
+            rho[0, 1], rho[1, 0] = 1j / 8, -1j / 8
+        obs, ineq = [[eye, second]] * 2, Inequality(np.array([[0, 1], [1, 0]]), -2, 2)
+        call = {"born_table": lambda: bell.born_table(rho, obs),
+                "quantum_value": lambda: bell.quantum_value(ineq, rho, obs),
+                "GameTables": lambda: ccp.GameTables(rho=rho, obs=obs, ineq=ineq),
+                "bell_operator": lambda: bell.bell_operator(ineq.g, obs)}[consumer]
+        with pytest.raises(ValueError, match=r"exact entry .* is complex"):
             call()
 
     def test_object_int_observables_are_exact(self, hom):

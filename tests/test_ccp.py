@@ -124,6 +124,12 @@ class TestSuccessProbability:
         with pytest.raises(ValueError, match="positive"):
             success_probability(5, sum_abs_g)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        # a NaN value gave the probability nan, an infinite one inf or -inf
+        with pytest.raises(ValueError, match="value finite"):
+            success_probability(value, 22)
+
 
 class TestOptimalClassicalStrategy:
     def test_headline_success(self, g):

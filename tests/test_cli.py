@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from becc import bell, simulate, state, tolerances
+from becc import bell, ccp, state, tolerances
 from becc.cli import emit, main
 
 # each certificate's bound in StateReport.certified: an upper bound when
@@ -189,10 +189,10 @@ class TestVerdicts:
     def product_state(self, monkeypatch):
         rho = np.zeros((8, 8))
         rho[0, 0] = 1
-        tables = simulate.GameTables(rho=rho)
+        tables = ccp.GameTables(rho=rho)
         assert tables.quantum_value == pytest.approx(7.2558, abs=1e-4)
         assert tables.p_quantum_exact == pytest.approx(0.6649, abs=1e-4)
-        monkeypatch.setattr(simulate, "default_tables", lambda: tables)
+        monkeypatch.setattr(ccp, "default_tables", lambda: tables)
 
     @pytest.mark.parametrize("argv,golden", [
         (("bell", "quantum-value"), "bell_quantum_value.json"),
@@ -323,18 +323,29 @@ def test_console_script_is_main():
         assert tomllib.load(f)["project"]["scripts"]["becc"] == "becc.cli:main"
 
 
+EXACT_COMMANDS = {"reproduce-paper": ["reproduce-paper", "--format", "json"],
+                  "game-exact": ["game", "exact"], "bell-quantum-value": ["bell", "quantum-value"],
+                  "state-validate": ["state", "validate"]}
+
+
 @pytest.mark.parametrize("module,argv", [
     ("numpy.random", []), ("csv", []), ("becc.linalg", []),
-    ("becc.linalg", ["reproduce-paper", "--format", "json"]),
-    ("becc.linalg", ["state", "validate"]),
+    ("becc.linalg", EXACT_COMMANDS["reproduce-paper"]),
+    ("becc.linalg", EXACT_COMMANDS["state-validate"]),
+    *[(module, argv) for module in ("becc.simulate", "numpy.random")
+      for argv in EXACT_COMMANDS.values()],
 ], ids=["numpy.random", "csv", "becc.linalg", "becc.linalg-reproduce-paper",
-        "becc.linalg-state-validate"])
+        "becc.linalg-state-validate",
+        *[f"{module}-{name}" for module in ("becc.simulate", "numpy.random")
+          for name in EXACT_COMMANDS]])
 def test_cold_import_leaves_module_unloaded(module, argv):
     # numpy.random: _shard_rng's return annotation would import it on every
     # cold start if it were evaluated; `from __future__ import annotations`
     # keeps it a string.  csv: emit imports it only for --format csv.
     # becc.linalg: references for the tests and the benchmark only; a
-    # command's certificates go through state's own Hermiticity gate
+    # command's certificates go through state's own Hermiticity gate.
+    # becc.simulate (and with it numpy.random): the sampler, which cli
+    # imports only where a run is built; the exact commands read ccp's game
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

@@ -126,6 +126,11 @@ class TestTables:
         config = SimulationConfig(1_000_000, seed=3, shards=3)
         assert run_protocol(config, tables).successes == 681957
 
+    def test_one_game_behind_ccp_and_simulate(self):
+        # the CLI reads ccp, the benchmark and the acceptance test read simulate
+        assert simulate.GameTables is ccp.GameTables
+        assert simulate.default_tables() is ccp.default_tables()
+
     def test_caller_arrays_stay_writeable(self, rho, obs):
         ineq = bell.homogenize(bell.sliwa5())
         own = GameTables(rho=rho, obs=obs, ineq=ineq)
