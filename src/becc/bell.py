@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from numbers import Complex
 from typing import NamedTuple
 
 import numpy as np
@@ -38,25 +39,37 @@ def outcome_signs(n_parties: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
+# an object table's real and imaginary parts, entry by entry; numpy keeps a complex entry whole
+_PARTS = np.frompyfunc(lambda v: (v.real, v.imag) if isinstance(v, Complex) else (v, 0), 1, 2)
+
+
 def coefficient_table(g) -> np.ndarray:
-    """g as a real float cube with one axis per party, finite, not all zero
-    and exactly as its entries are; anything else raises ValueError."""
+    """g as a real float cube with one axis per party, finite, not all zero, exactly as its
+    entries are and with a finite sum |g|; anything else raises ValueError."""
     g = np.asarray(g)
-    if g.dtype != float:  # a float64 table is real already
-        if np.iscomplexobj(g) and g.imag.any():
-            raise ValueError("coefficient table has a non-zero imaginary part")
-        real, g = g.real, np.asarray(g.real, dtype=float)
-        if (lost := np.isfinite(g) & (g.astype(object) != real.astype(object))).any():
-            raise ValueError(f"coefficient table entry {real[lost][0]} is not exactly a float")
     if g.ndim == 0 or len(set(g.shape)) > 1:
         raise ValueError(f"coefficient table must be a cube with an axis per party, "
                          f"got shape {g.shape}")
-    # a finite, positive sum of squares passes both; NaN, overflow, underflow fall through
+    if g.dtype != float:  # a float64 table is real already
+        real, imag = _PARTS(g) if g.dtype == object else (g.real, g.imag)
+        if imag.any():
+            raise ValueError("coefficient table has a non-zero imaginary part")
+        try:
+            g = np.asarray(real, dtype=float)
+        except OverflowError:  # a Python int or Fraction beyond the float range
+            raise ValueError("coefficient table has a non-finite entry as a float") from None
+        if (lost := np.isfinite(g) & (g.astype(object) != real.astype(object))).any():
+            raise ValueError(f"coefficient table entry {real[lost][0]} is not exactly a float")
+    # a finite, positive sum of squares bounds sum |g| and passes all three checks;
+    # NaN, overflow, underflow fall through
     if not 0 < np.vdot(g, g) < math.inf:
         if not np.isfinite(g).all():
             raise ValueError("coefficient table has a non-finite entry")
         if not g.any():
             raise ValueError("all-zero coefficient table")
+        with np.errstate(over="ignore"):
+            if np.abs(g).sum() == math.inf:
+                raise ValueError("coefficient table's sum |g| overflows a float")
     return g
 
 

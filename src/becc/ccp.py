@@ -15,12 +15,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from . import bell, state
+from . import bell, state, tolerances
 from .bell import ClassicalStrategy, coefficient_table, search_strategies, table_weight
 
 
@@ -57,13 +57,20 @@ def scalar_product(f_func, a_func, q: np.ndarray) -> float:
 
 
 def success_probability(value, sum_abs_g):
-    """P = (1 + value/sum|g|) / 2; a Fraction for int, numpy integer or Fraction inputs."""
+    """P = (1 + value/sum|g|) / 2; a Fraction for int, numpy integer or Fraction inputs.
+
+    No strategy has |value| > sum|g|: rational inputs are held to it exactly, others
+    within the FLOAT slack bell.correlations allows on each |E|; beyond it raises."""
+    if not isinstance(value, Real):
+        raise ValueError(f"value {value!r} is not real")
     if not (0 < sum_abs_g < math.inf and abs(value) < math.inf):  # a NaN fails this too
         raise ValueError("sum |g| must be positive and finite, and the value finite")
-    if isinstance(value, Rational) and isinstance(sum_abs_g, Rational):
+    exact = isinstance(value, Rational) and isinstance(sum_abs_g, Rational)
+    if exact:
         value, sum_abs_g = Fraction(value), Fraction(sum_abs_g)
-        return (sum_abs_g + value) / (2 * sum_abs_g)
-    return 0.5 * (1.0 + value / sum_abs_g)
+    if abs(value) > sum_abs_g * (1 if exact else 1 + tolerances.FLOAT):
+        raise ValueError(f"|value| {value} exceeds sum |g| = {sum_abs_g}: no strategy reaches it")
+    return (sum_abs_g + value) / (2 * sum_abs_g) if exact else 0.5 * (1.0 + value / sum_abs_g)
 
 
 def exact_success_quantum(s_value, sum_abs_g):
@@ -100,12 +107,13 @@ def success_by_enumeration(strategy: ClassicalStrategy, g: np.ndarray) -> float:
 class GameTables:
     """Everything a run needs, computed once.
 
-    Holds the q-supported setting tuples with their input probabilities
-    Q(x), the target signs, and per protocol an outcome table P(a|x) over
-    (support, n-bit outcome): Born-rule pmfs for "quantum", a one-hot row
-    at the optimal strategy's answer for "classical".  ``win[x, a]`` marks
-    the cells where the guess equals the target; ``correlations`` is the
-    table E(x) behind the quantum value S.
+    Holds the q-supported setting tuples and, per protocol, the sampler's
+    cell law cell_law[protocol][x, a] = Q(x) P(a|x) as float64 over
+    (support, n-bit outcome): P(a|x) is the Born-rule pmf for "quantum"
+    and a one-hot row at the optimal strategy's answer for "classical";
+    an exact (Fraction) law is cast to floats here, once.  ``win[x, a]``
+    marks the cells where the guess equals the target; ``correlations``
+    is the table E(x) behind the quantum value S.
     """
 
     def __init__(self, rho=None, obs=None, ineq: bell.Inequality = None):
@@ -115,7 +123,7 @@ class GameTables:
 
         g = self.ineq.g
         idx = np.nonzero(g)  # the support as index arrays
-        # one Born contraction gives the correlations, S and the outcome tables
+        # one Born contraction gives the correlations, S and the quantum cell law
         born = bell.born_table(self.rho, self.obs)
         self.correlations = bell.correlations(born)
         # before born[idx]: expression_value checks g's support against the observables
@@ -123,17 +131,17 @@ class GameTables:
         # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
         self.p_quantum_exact = success_probability(s, w := self.ineq.sum_abs())
         self.support = list(zip(*np.array(idx).tolist()))
-        self.q_support = np.abs(g[idx]) / w
-        self.target_sign = np.where(g[idx] > 0, 1, -1)
-        outcomes = bell.outcome_signs(g.ndim)
-        self.win = outcomes.prod(axis=1) == self.target_sign[:, None]
+        coeffs, outcomes = g[idx][:, None], bell.outcome_signs(g.ndim)
+        # the sign bits cancel: a win is a_1...a_n = sign g(x), a positive a_1...a_n g(x)
+        self.win = outcomes.prod(axis=1) * coeffs > 0
 
         strategy, self.p_classical_exact = optimal_classical_strategy(g)
         # the strategy's answers a_i(x_i) on each supported x, as (support, party)
         answers = np.array(strategy.a)[np.arange(g.ndim)[:, None], np.array(idx)].T
-        self.outcome_pmf = {
-            "quantum": born[idx],
-            "classical": (answers[:, None] == outcomes).all(axis=-1).astype(float),
+        q = np.abs(coeffs) / w
+        self.cell_law = {
+            "quantum": np.asarray(q * born[idx], dtype=float),
+            "classical": q * (answers[:, None] == outcomes).all(axis=-1),
         }
 
 
@@ -141,7 +149,7 @@ class GameTables:
 def default_tables() -> GameTables:
     """The built-in game, built once and shared by every caller, so read-only."""
     t = GameTables()
-    for a in (t.rho, t.ineq.g, t.q_support, t.target_sign, t.win, t.correlations,
-              *t.outcome_pmf.values(), *(o for party in t.obs for o in party)):
+    for a in (t.rho, t.ineq.g, t.win, t.correlations, *t.cell_law.values(),
+              *(o for party in t.obs for o in party)):
         a.flags.writeable = False
     return t

@@ -4,9 +4,9 @@ A shot draws a setting tuple x from Q and sign bits y uniformly, yields
 outcomes a (classical: the optimal sign functions; quantum: Born-rule
 outcomes on the shared state), and each party broadcasts y_i * a_i; it
 wins on a win cell of the game's ccp.GameTables.  A run reports only
-counts, so the shots of a shard are drawn at once as Multinomial(n, pi)
-over the (setting tuple, outcome) cells, with pi(x, a) = Q(x) P(a|x);
-this is the exact law of the per-shot counts.
+counts: a shard's shots are drawn at once as Multinomial(n, pi), the exact
+law of its counts, over the cells pi(x, a) = Q(x) P(a|x) that
+GameTables.cell_law builds once; this module only draws and tallies.
 
 Randomness comes from numpy's Philox counter-based generator.  Shard k of
 a run is seeded with SeedSequence([seed, k]), so shards are independent
@@ -97,17 +97,15 @@ def sample_counts(config: SimulationConfig,
 
     Shots are split across shards as evenly as possible (the first
     shots % shards shards get one extra); shard k draws
-    Multinomial(n_k, pi) from its own stream with
-    pi(x, a) = Q(x) P(a|x) as floats (an exact table's Fractions too), and
-    shard counts add, so the result does not depend on execution order.
+    Multinomial(n_k, pi) from its own stream with pi the tables' cell
+    law for the protocol, and shard counts add, so the result does not
+    depend on execution order.
     """
-    tables = tables or default_tables()
-    pmf = tables.outcome_pmf[config.protocol]
-    pi = np.asarray((tables.q_support[:, None] * pmf).ravel(), dtype=float)
+    law = (tables or default_tables()).cell_law[config.protocol]
     base, extra = divmod(config.shots, config.shards)
-    counts = sum(_shard_rng(config.seed, k).multinomial(base + (k < extra), pi)
+    counts = sum(_shard_rng(config.seed, k).multinomial(base + (k < extra), law.ravel())
                  for k in range(config.shards))
-    return counts.reshape(pmf.shape)
+    return counts.reshape(law.shape)
 
 
 def run_protocol(config: SimulationConfig,

@@ -123,6 +123,17 @@ class TestInequality:
         assert np.array_equal(Inequality(g, -8, 8).g, g)
         assert bell.search_strategies(g, True)[1] == 8 * scale
 
+    @pytest.mark.parametrize("call", [
+        lambda: ccp.input_distribution(np.full((2, 2), 1e308)),
+        lambda: classical_extrema(Inequality(np.full((2, 2, 2), 1e308), -1, 1)),
+        lambda: ccp.optimal_classical_strategy(np.full((2, 2), 1e308)),
+    ], ids=["input_distribution", "classical_extrema", "optimal_classical_strategy"])
+    def test_rejects_table_whose_sum_of_abs_overflows(self, call):
+        # finite entries whose sum |g| is inf: Q was all zero (with a
+        # RuntimeWarning), and the searches' inf - inf = NaN sums raised TypeError
+        with pytest.raises(ValueError, match=re.escape("sum |g| overflows")):
+            call()
+
     @pytest.mark.parametrize("lower,upper", [
         (math.nan, 1), (-1, math.nan), (-math.inf, 1), (-1, math.inf)])
     def test_rejects_non_finite_bound(self, lower, upper):
@@ -193,6 +204,25 @@ class TestTableDtypes:
                      lambda: bell.bell_operator(g, obs)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
+
+    @pytest.mark.parametrize("entry,message", [
+        (1 + 1j, "non-zero imaginary part"),
+        (Fraction(10 ** 400), "non-finite entry"),
+        (10 ** 400, "non-finite entry"),
+    ], ids=["complex", "huge-Fraction", "huge-int"])
+    def test_object_entry_float64_cannot_hold_raises(self, entry, message):
+        # the float64 cast let Python's TypeError and OverflowError out
+        g = np.array([[entry, 1], [0, 1]], dtype=object)
+        for call in (lambda: Inequality(g, -3, 3), lambda: bell.table_weight(g),
+                     lambda: bell.search_strategies(g, False)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_object_complex_entry_with_zero_imaginary_part_is_real(self):
+        # as a complex128 table with zero imaginary parts; the cast raised TypeError
+        g = np.array([[1 + 0j, 1], [0, Fraction(1, 2)]], dtype=object)
+        assert np.array_equal(Inequality(g, -3, 3).g, [[1.0, 1.0], [0.0, 0.5]])
+        assert bell.table_weight(g) == 2.5
 
     def test_exact_half_gives_the_float_results(self):
         half = np.array([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], dtype=object)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from becc import bell
+from becc import bell, tolerances
 from becc.ccp import (
     ClassicalStrategy,
     GameInstance,
@@ -129,6 +129,32 @@ class TestSuccessProbability:
         # a NaN value gave the probability nan, an infinite one inf or -inf
         with pytest.raises(ValueError, match="value finite"):
             success_probability(value, 22)
+
+    @pytest.mark.parametrize("value", [1j, 8 + 0j, np.complex128(8)],
+                             ids=["1j", "complex", "complex128"])
+    def test_non_real_value_rejected(self, value):
+        # 1j gave the complex probability 0.5+0.0227j
+        with pytest.raises(ValueError, match="not real"):
+            success_probability(value, 22)
+
+    @pytest.mark.parametrize("value,total", [(30, 22), (-23, 22), (Fraction(45, 2), 22),
+                                             (22, Fraction(43, 2))])
+    def test_rational_value_beyond_weight_rejected(self, value, total):
+        # 30 against 22 gave the probability 13/11
+        with pytest.raises(ValueError, match="exceeds"):
+            success_probability(value, total)
+        assert success_probability(total, total) == 1
+        assert success_probability(-total, total) == 0
+
+    def test_float_value_beyond_slack_rejected(self):
+        # a float S may exceed sum |g| by the FLOAT slack bell.correlations
+        # allows on each |E|, and no further
+        slack = 22 * tolerances.FLOAT
+        assert success_probability(22 + slack / 2, 22) == pytest.approx(1, abs=1e-9)
+        assert success_probability(-22 - slack / 2, 22) == pytest.approx(0, abs=1e-9)
+        for value, total in ((22 + 2 * slack, 22), (-22 - 2 * slack, 22.0), (30.0, 22)):
+            with pytest.raises(ValueError, match="exceeds"):
+                success_probability(value, total)
 
 
 class TestOptimalClassicalStrategy:

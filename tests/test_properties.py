@@ -521,7 +521,7 @@ def test_born_table_matches_stacked_projector_oracle(seed, n, real):
 @settings(max_examples=30, deadline=None)
 @given(party_tables(3), st.integers(0, 2 ** 32 - 1))
 def test_game_tables_match_per_tuple_oracle(entries, seed):
-    # the gathered arrays of GameTables against one loop over the support
+    # the win cells and cell laws of GameTables against one loop over the support
     n = parties(entries)
     g = dense(entries, 3)
     rng = np.random.default_rng(seed)
@@ -534,18 +534,17 @@ def test_game_tables_match_per_tuple_oracle(entries, seed):
     support = [x for x in itertools.product(range(3), repeat=n) if g[x] != 0]
     assert tables.support == support
     q = ccp.input_distribution(g)
-    assert np.array_equal(tables.q_support, [q[x] for x in support])
-    signs = [1 if g[x] > 0 else -1 for x in support]
-    assert np.array_equal(tables.target_sign, signs)
     outcomes = list(itertools.product((0, 1), repeat=n))
-    for k, (x, sign) in enumerate(zip(support, signs)):
+    for k, x in enumerate(support):
+        sign = 1 if g[x] > 0 else -1
         for a, bits in enumerate(outcomes):
             assert tables.win[k, a] == (math.prod(1 - 2 * b for b in bits) == sign)
-        assert np.array_equal(tables.outcome_pmf["quantum"][k], born[x])
+        # the cell law's rows are Q(x) P(a|x), bit for bit
+        assert tables.cell_law["quantum"][k].tobytes() == (q[x] * born[x]).tobytes()
         answer = tuple(int(strategy.a[p][x[p]] < 0) for p in range(n))
         one_hot = np.zeros(2 ** n)
         one_hot[outcomes.index(answer)] = 1.0
-        assert np.array_equal(tables.outcome_pmf["classical"][k], one_hot)
+        assert tables.cell_law["classical"][k].tobytes() == (q[x] * one_hot).tobytes()
     terms = [g[x] * corr[x] for x in support]
     assert tables.quantum_value == float(sum(terms))  # left to right, as numpy scalars
 
@@ -701,9 +700,12 @@ def test_success_probability_exact_for_integers(total, data):
     assert ccp.success_probability(float(value), total) == pytest.approx(float(p), abs=1e-15)
 
 
-@given(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
-       st.fractions(Fraction(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6))
-def test_success_probability_exact_for_fractions(value, total):
+@given(st.fractions(Fraction(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6), st.data())
+def test_success_probability_exact_for_fractions(total, data):
+    # values beyond +-total, which no strategy reaches, raise
+    value = data.draw(st.fractions(-total, total, max_denominator=10 ** 6))
+    with pytest.raises(ValueError, match="exceeds"):
+        ccp.success_probability(total + Fraction(1, 10 ** 12), total)
     p = ccp.success_probability(value, total)
     assert type(p) is Fraction
     assert p == (1 + value / total) / 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -111,16 +112,16 @@ class TestTables:
     def test_cell_law_reproduces_exact_success(self, tables):
         for protocol, exact in (("classical", float(tables.p_classical_exact)),
                                 ("quantum", tables.p_quantum_exact)):
-            pi = tables.q_support[:, None] * tables.outcome_pmf[protocol]
+            pi = tables.cell_law[protocol]
+            assert pi.dtype == np.float64 and pi.shape == (len(tables.support), 8)
             assert pi.sum() == pytest.approx(1.0, abs=1e-15)
             assert pi[tables.win].sum() == pytest.approx(exact, abs=1e-15)
 
     def test_shared_tables_are_read_only(self, tables):
         # every caller gets the one cached object; each write puts back the
         # entry's own value, so a write that went through would change nothing
-        for a in (tables.rho, tables.ineq.g, tables.q_support, tables.target_sign,
-                  tables.win, tables.correlations, *tables.outcome_pmf.values(),
-                  *itertools.chain(*tables.obs)):
+        for a in (tables.rho, tables.ineq.g, tables.win, tables.correlations,
+                  *tables.cell_law.values(), *itertools.chain(*tables.obs)):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
         config = SimulationConfig(1_000_000, seed=3, shards=3)
@@ -135,7 +136,8 @@ class TestTables:
         ineq = bell.homogenize(bell.sliwa5())
         own = GameTables(rho=rho, obs=obs, ineq=ineq)
         assert rho.flags.writeable and ineq.g.flags.writeable
-        assert own.q_support.flags.writeable and own.correlations.flags.writeable
+        assert own.correlations.flags.writeable
+        assert all(law.flags.writeable for law in own.cell_law.values())
         simulate.default_tables()  # freezes its own observables, not the caller's
         assert all(o.flags.writeable for o in itertools.chain(*obs))
 
@@ -195,16 +197,16 @@ class TestRunProtocol:
         # run must match a classical run with all sign functions fixed to +1
         eye_obs = [[np.eye(2)] * 3 for _ in range(3)]
         t = GameTables(obs=eye_obs)
-        all_plus = np.zeros_like(t.outcome_pmf["classical"])
-        all_plus[:, 0] = 1.0
-        t.outcome_pmf["classical"] = all_plus
+        all_plus = np.zeros_like(t.cell_law["classical"])
+        all_plus[:, 0] = ccp.input_distribution(t.ineq.g)[np.nonzero(t.ineq.g)]
+        t.cell_law["classical"] = all_plus
         config_q = SimulationConfig(shots=20_000, seed=5, protocol="quantum")
         config_c = SimulationConfig(shots=20_000, seed=5, protocol="classical")
         assert run_protocol(config_q, t).successes == run_protocol(config_c, t).successes
 
     @pytest.mark.parametrize("protocol,shards", [("quantum", 1), ("classical", 3)])
     def test_cell_counts_fit_law(self, tables, rho, obs, protocol, shards):
-        # reference law built independently of GameTables' outcome tables
+        # reference law built independently of GameTables' cell law
         g = tables.ineq.g
         q = ccp.input_distribution(g)
         strategy, _ = ccp.optimal_classical_strategy(g)
@@ -262,6 +264,40 @@ class TestDeterminism:
         counts = [gap_experiment(400_000_000, seed=seed, tables=tables).simulation.successes
                   for seed in range(3)]
         assert counts == [272799995, 272782641, 272788819]
+
+    @pytest.mark.parametrize("protocol,shards,successes,digest", [
+        ("quantum", 1, 682110, "8c103ec39c807b5d636c77e0bb07154d4e04aa55ab3105761c6959e3a6378926"),
+        ("quantum", 3, 681957, "23b31d4703d2493ee5123596461a6657d19fd5d2ad989b6221f8eebc73bc1c87"),
+        ("classical", 1, 681069, "2c56f51abea693685e2726095d65fff2cd52711b6d9c94a03a333f43b0c0fcc8"),
+        ("classical", 3, 680814, "99eb81a88cf694f999436f58a160df53c165931c0b73cc44eb5e84af3cd4afcd"),
+    ])
+    def test_cell_counts_are_pinned(self, tables, protocol, shards, successes, digest):
+        # every (support tuple, outcome) count, not only the success total
+        counts = sample_counts(SimulationConfig(1_000_000, 3, protocol, shards), tables)
+        assert counts.shape == (18, 8) and int(counts[tables.win].sum()) == successes
+        assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_exact_table_cell_counts_are_pinned(self):
+        # a Fraction Gram state and rational reflections: the exact cell law,
+        # cast to floats once, draws these counts
+        exact = np.frompyfunc(Fraction, 1, 1)
+
+        def reflection(u):  # [[c, s], [s, -c]] with c^2 + s^2 = 1, in Fractions
+            c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+            return exact(np.array([[c, s], [s, -c]], dtype=object))
+
+        m = np.arange(64).reshape(8, 8) * 7 % 5 - 2
+        gram = exact(m @ m.T)
+        rho = gram / int(np.trace(gram))
+        obs = [[exact(np.eye(2, dtype=int)), reflection(Fraction(1, 3)),
+                reflection(Fraction(-2, 5))] for _ in range(3)]
+        t = GameTables(rho, obs, bell.homogenize(bell.sliwa5()))
+        assert t.p_quantum_exact == Fraction(140349569, 230719940)
+        assert t.cell_law["quantum"].dtype == np.float64
+        counts = sample_counts(SimulationConfig(1_000_000, 3, "quantum", 3), t)
+        assert counts.shape == (18, 8) and int(counts[t.win].sum()) == 608586
+        assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == (
+            "2ff0d764ee560900cf4022895cc0effdf86f50873b1b0962dcb112421fe23b05")
 
 
 def reflection_in_xy_plane(phi):
