@@ -1,20 +1,21 @@
 """Bell inequality machinery for any number of parties.
 
-An inequality is one dense coefficient table g with an axis per party,
-setting 0 being the identity, and two-sided classical bounds.  Covers
-classical bounds by exhaustive enumeration of deterministic local
-strategies, Born probabilities and quantum values from a shared state
-and one observable list per party, and the built-in three-party game:
-Sliwa's inequality #5, its homogenized form and the paper's observables.
-An object-array operand makes a quantum contraction exact: no float one
-may join it, ints join either, and every entry enters as a Fraction.
+An inequality is one dense coefficient table g with an axis per party, setting 0 being the
+identity, and two-sided classical bounds.  Covers classical bounds by exhaustive enumeration
+of deterministic local strategies, Born probabilities and quantum values from a shared state
+and one observable list per party, and the built-in three-party game: Sliwa's inequality #5,
+its homogenized form and the paper's observables.  An object-array operand makes a quantum
+contraction exact: no float one may join it, ints join either.  Every object-array entry, of
+g, rho or an observable, enters through one converter as a Fraction: an int, a Fraction, a
+finite float or a complex with zero imaginary part, and anything else raises.  One gate,
+support, checks g against the observables' settings before any sum over g's support.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from numbers import Complex
+from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +40,21 @@ def outcome_signs(n_parties: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-# an object table's real and imaginary parts, entry by entry; numpy keeps a complex entry whole
-_PARTS = np.frompyfunc(lambda v: (v.real, v.imag) if isinstance(v, Complex) else (v, 0), 1, 2)
+def _fraction(v) -> Fraction:
+    """An object-array entry of g, rho or an observable as a Fraction: an int, a Fraction, a finite
+    float or a complex with zero imaginary part, a numpy scalar read as its Python value."""
+    v = v.item() if isinstance(v, np.generic) else v
+    if isinstance(v, complex) and v.imag:  # not numbers.Complex, which a float is too
+        raise ValueError(f"exact entry {v} is complex: a non-zero imaginary part")
+    v = v.real if isinstance(v, complex) else v
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"exact entry {v} is non-finite")
+    if not isinstance(v, (Rational, float)):
+        raise ValueError(f"exact entry {v!r} is not a number")
+    return Fraction(v)
+
+
+_FRACTIONS = np.frompyfunc(_fraction, 1, 1)  # the one way in for every object-array entry
 
 
 def coefficient_table(g) -> np.ndarray:
@@ -51,9 +65,9 @@ def coefficient_table(g) -> np.ndarray:
         raise ValueError(f"coefficient table must be a cube with an axis per party, "
                          f"got shape {g.shape}")
     if g.dtype != float:  # a float64 table is real already
-        real, imag = _PARTS(g) if g.dtype == object else (g.real, g.imag)
-        if imag.any():
+        if (numeric := g.dtype.kind in "biufc") and g.imag.any():
             raise ValueError("coefficient table has a non-zero imaginary part")
+        real = g.real if numeric else _FRACTIONS(g)  # numpy would cast the string "1" to 1.0
         try:
             g = np.asarray(real, dtype=float)
         except OverflowError:  # a Python int or Fraction beyond the float range
@@ -274,9 +288,6 @@ def measurement_observables() -> list[list[np.ndarray]]:
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
-_FRACTIONS = np.frompyfunc(Fraction, 1, 1)  # how every entry enters an exact contraction
-
-
 def _observable_stacks(obs: list[list[np.ndarray]], *operands) -> tuple[list[np.ndarray], bool]:
     """Each party's (settings, 2, 2) observable stack, and whether the contraction is exact, in
     Fractions: it is when obs or operands hold an object array, and then a float one raises."""
@@ -288,9 +299,6 @@ def _observable_stacks(obs: list[list[np.ndarray]], *operands) -> tuple[list[np.
     kinds = {kind for _, kind in found} | {np.asarray(a).dtype.kind for a in operands}
     if (exact := "O" in kinds) and kinds & {"f", "c"}:
         raise ValueError("exact (object) and float operands cannot mix")
-    if exact and (bad := [v for a in (*itertools.chain(*obs), *operands) for v in np.ravel(a)
-                          if isinstance(v, (complex, np.complexfloating))]):
-        raise ValueError(f"exact entry {bad[0]} is complex: exact entries must be real")
     return [_FRACTIONS(np.array(o)) if exact else np.array(o) for o in obs], exact
 
 
@@ -343,26 +351,31 @@ def correlations(pmf: np.ndarray) -> np.ndarray:
     return e
 
 
-def on_support(table: np.ndarray, idx: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The entries of a Born or correlation table at a support given as
-    np.nonzero(g) index arrays, in that order; a fractional, negative or
-    unobserved setting raises."""
-    support = np.array(idx).T
-    if support.dtype.kind not in "iu":
-        raise ValueError(f"setting tuple {tuple(support[0].tolist())} must hold integer settings")
-    missing = (support < 0) | (support >= table.shape[:len(idx)])
-    if missing.any():
+def _observed(support: np.ndarray, settings) -> tuple[np.ndarray, ...]:
+    """A (tuple, party) support as index arrays; a setting < 0 or >= settings[party] raises."""
+    if (missing := (support < 0) | (support >= settings)).any():
         k, party = np.argwhere(missing)[0]
         raise ValueError(f"setting tuple {tuple(support[k].tolist())}: party {party + 1} "
                          f"has no observable for setting {support[k, party]}")
-    return table[idx]
+    return tuple(support.T)
+
+
+def support(g, settings) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The one gate between g and observables of settings[k] settings for party k: g as
+    coefficient_table gives it and its np.nonzero support; a party or setting misfit raises."""
+    g = coefficient_table(g)
+    if len(settings) != g.ndim:
+        raise ValueError(f"observables of {len(settings)} parties for a {g.ndim}-party table")
+    return g, _observed(np.array(np.nonzero(g)).T, settings)
 
 
 def _at(table: np.ndarray, x: tuple[int, ...], n_parties: int):
     """table[x] for a setting tuple x of one setting per party."""
     if len(x) != n_parties:
         raise ValueError(f"setting tuple {x} has {len(x)} settings for {n_parties} parties")
-    return on_support(table, tuple(np.reshape(x, (-1, 1))))[0]
+    if (row := np.array([x])).dtype.kind not in "iu":
+        raise ValueError(f"setting tuple {tuple(row[0].tolist())} must hold integer settings")
+    return table[_observed(row, table.shape[:n_parties])][0]
 
 
 def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
@@ -373,18 +386,14 @@ def born_distribution(rho: np.ndarray, obs: list[list[np.ndarray]],
 
 def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
                 x: tuple[int, ...]) -> float:
-    """E(x) = trace(rho * O_{x_1} (x) ... (x) O_{x_n}) for one setting
-    tuple, read from the Born table."""
+    """E(x) = trace(rho O_{x_1} (x) ... (x) O_{x_n}) for one setting tuple, from the Born table."""
     return float(_at(correlations(born_table(rho, obs)), x, len(obs)))
 
 
-def expression_value(g: np.ndarray, corr: np.ndarray) -> float | complex | Fraction:
+def expression_value(g: np.ndarray, corr: np.ndarray) -> float | Fraction:
     """S = sum_x g(x) E(x) over the support of g; exact for an object table, g as Fractions."""
-    if corr.ndim != g.ndim:
-        raise ValueError(f"correlations of {corr.ndim} parties for a {g.ndim}-party table")
-    idx = np.nonzero(g)
-    e = on_support(corr, idx) if idx[0].size else coefficient_table(g)  # all-zero g raises
-    if e.dtype == object:
+    g, idx = support(g, corr.shape)
+    if (e := corr[idx]).dtype == object:
         return sum(_FRACTIONS(g[idx]) * e)
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
     return sum(g[idx] * e).item()
@@ -392,9 +401,8 @@ def expression_value(g: np.ndarray, corr: np.ndarray) -> float | complex | Fract
 
 def quantum_value(ineq: Inequality, rho: np.ndarray,
                   obs: list[list[np.ndarray]]) -> float | Fraction:
-    """S = sum_x g(x) E(x) over the support of the coefficient table; an
-    absent party sits on the identity setting, so contributes an identity
-    factor.  Exact for Fraction rho and obs."""
+    """S = sum_x g(x) E(x) over the support of the coefficient table; an absent party sits on
+    the identity setting, so contributes an identity factor.  Exact for Fraction rho and obs."""
     return expression_value(ineq.g, correlations(born_table(rho, obs)))
 
 
@@ -402,8 +410,7 @@ def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the observed
     settings, contracted once with each party's (settings, 2, 2) stack of 2x2 observables, all
     checked as in born_table; object ones make B exact, with g's entries as Fractions."""
-    g, n = coefficient_table(g), len(obs)
-    expression_value(g, np.zeros([len(o) for o in obs]))  # raises on a party or setting misfit
+    g, n = support(g, [len(o) for o in obs])[0], len(obs)
     stacks, exact = _observable_stacks(obs)
     stacks = [t[:s] for t, s in zip(stacks, g.shape)]
     g = (_FRACTIONS if exact else np.asarray)(g[tuple(slice(len(t)) for t in stacks)])

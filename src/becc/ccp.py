@@ -121,12 +121,10 @@ class GameTables:
         self.obs = bell.measurement_observables() if obs is None else obs
         self.ineq = bell.homogenize(bell.sliwa5()) if ineq is None else ineq
 
-        g = self.ineq.g
-        idx = np.nonzero(g)  # the support as index arrays
         # one Born contraction gives the correlations, S and the quantum cell law
         born = bell.born_table(self.rho, self.obs)
+        g, idx = bell.support(self.ineq.g, born.shape[:-1])
         self.correlations = bell.correlations(born)
-        # before born[idx]: expression_value checks g's support against the observables
         s = self.quantum_value = bell.expression_value(g, self.correlations)
         # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
         self.p_quantum_exact = success_probability(s, w := self.ineq.sum_abs())

@@ -94,6 +94,8 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.dtype.kind not in "biufc":  # np.isfinite raises TypeError on object and string dtypes
+        raise ValueError(f"expected a numeric matrix, got dtype {m.dtype}")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m

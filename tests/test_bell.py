@@ -209,12 +209,27 @@ class TestTableDtypes:
         (1 + 1j, "non-zero imaginary part"),
         (Fraction(10 ** 400), "non-finite entry"),
         (10 ** 400, "non-finite entry"),
-    ], ids=["complex", "huge-Fraction", "huge-int"])
+        (None, "exact entry None is not a number"),
+    ], ids=["complex", "huge-Fraction", "huge-int", "None"])
     def test_object_entry_float64_cannot_hold_raises(self, entry, message):
-        # the float64 cast let Python's TypeError and OverflowError out
+        # the float64 cast let Python's TypeError and OverflowError out, and
+        # made None a NaN, named as a "non-finite entry"
         g = np.array([[entry, 1], [0, 1]], dtype=object)
         for call in (lambda: Inequality(g, -3, 3), lambda: bell.table_weight(g),
                      lambda: bell.search_strategies(g, False)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("table,entry", [
+        (np.array([["1", "0"], ["0", "1"]]), "'1'"),
+        (np.array([[b"0", b"1"], [b"1", b"0"]]), "b'0'"),
+    ], ids=["str", "bytes"])
+    def test_non_numeric_table_entry_is_not_a_number(self, table, entry):
+        # numpy cast the string "1" to 1.0, and the exactness check then raised
+        # "coefficient table entry 1 is not exactly a float"
+        message = re.escape(f"exact entry {entry} is not a number")
+        for call in (lambda: Inequality(table, -2, 2), lambda: bell.table_weight(table),
+                     lambda: bell.search_strategies(table, False)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -498,6 +513,62 @@ class TestBornTable:
     def test_correlations_reject_nan(self):
         with pytest.raises(ValueError, match="outside"):
             bell.correlations(np.full((3, 3, 3, 8), math.nan))
+
+
+class TestEntryRule:
+    """Every object-array entry, of g, rho or an observable, enters through one
+    converter: an int, a Fraction, a finite float or a complex number with a
+    zero imaginary part, a numpy scalar read as its Python value."""
+
+    # where each operand can reach each consumer
+    PLACES = [("born_table", "rho"), ("born_table", "obs"), ("quantum_value", "g"),
+              ("quantum_value", "rho"), ("quantum_value", "obs"), ("GameTables", "g"),
+              ("GameTables", "rho"), ("GameTables", "obs"), ("bell_operator", "g"),
+              ("bell_operator", "obs"), ("table_weight", "g")]
+
+    @staticmethod
+    def run(consumer, where, entry):
+        """An exact two-party game, g = [[0, 1], [1/2, 0]], rho = diag(1/2, 1/2, 0, 0) and
+        party 2's second observable diag(1/2, -1/2), with entry for one of the 1/2s."""
+        exact = np.frompyfunc(Fraction, 1, 1)
+        g = np.array([[0, 1], [Fraction(1, 2), 0]], dtype=object)
+        rho = exact(np.diag([1, 1, 0, 0])) / 2
+        obs = [[exact(np.eye(2, dtype=int)), exact(np.diag([1, -1]))],
+               [exact(np.eye(2, dtype=int)), exact(np.diag([1, -1])) / 2]]
+        {"g": g[1], "rho": rho[0], "obs": obs[1][1][0]}[where][0] = entry
+        call = {"born_table": lambda: bell.born_table(rho, obs),
+                "quantum_value": lambda: quantum_value(Inequality(g, -2, 2), rho, obs),
+                "GameTables": lambda: ccp.GameTables(rho, obs, Inequality(g, -2, 2)),
+                "bell_operator": lambda: bell.bell_operator(g, obs),
+                "table_weight": lambda: bell.table_weight(g)}
+        result = call[consumer]()
+        if consumer == "GameTables":
+            return result.quantum_value, result.p_quantum_exact, result.p_classical_exact
+        return result
+
+    @pytest.mark.parametrize("consumer,where", PLACES)
+    @pytest.mark.parametrize("entry,message", [
+        ("1/2", "exact entry '1/2' is not a number"),
+        (None, "exact entry None is not a number"),
+        (math.inf, "exact entry inf is non-finite"),
+        (math.nan, "exact entry nan is non-finite"),
+        (1j, "exact entry 1j is complex: a non-zero imaginary part"),
+    ], ids=["string", "None", "inf", "nan", "imaginary"])
+    def test_rejects_entry(self, consumer, where, entry, message):
+        # Fraction read the string "1/2" as 1/2 and let TypeError out on None,
+        # OverflowError on inf and ValueError on nan; g made None a NaN
+        with pytest.raises(ValueError, match=re.escape(message)) as raised:
+            self.run(consumer, where, entry)
+        if isinstance(entry, float):  # a float is a numbers.Complex too, yet not complex
+            assert "complex" not in str(raised.value)
+
+    @pytest.mark.parametrize("consumer,where", PLACES)
+    def test_numpy_scalar_enters_as_its_value(self, consumer, where):
+        half = self.run(consumer, where, Fraction(1, 2))
+        for entry in (np.float32(0.5), np.complex128(0.5), 0.5 + 0j):
+            result = self.run(consumer, where, entry)
+            assert np.array_equal(result, half)
+            assert list(map(type, np.ravel(result))) == list(map(type, np.ravel(half)))
 
 
 class TestQuantumValue:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestHermitianEigenvalues:
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="expected a square matrix"):
             linalg.hermitian_eigenvalues(np.zeros(shape))
+
+    def test_rejects_exact_matrix(self):
+        # state's square-matrix gate, which both helpers share: numpy's TypeError before
+        m = np.frompyfunc(Fraction, 1, 1)(np.eye(4, dtype=int)) / 4
+        for call in (linalg.hermitian_eigenvalues,
+                     lambda m: linalg.partial_transpose(m, 1, [2, 2])):
+            with pytest.raises(ValueError, match="expected a numeric matrix, got dtype object"):
+                call(m)
 
     def test_permutation_similarity_invariance(self):
         rng = np.random.default_rng(4)

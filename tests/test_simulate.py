@@ -165,6 +165,12 @@ class TestTables:
             GameTables(obs=obs, ineq=ineq)
         with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
             bell.bell_operator(g, obs)
+        # all four consumers of bell.support name the same misfit
+        corr = bell.correlations(bell.born_table(np.eye(8) / 8, obs))
+        with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
+            bell.expression_value(g, corr)
+        with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
+            bell.quantum_value(ineq, np.eye(8) / 8, obs)
 
 
 class TestRunProtocol:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ class TestValidate:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             validate_state(np.eye(6))
+
+    @pytest.mark.parametrize("m", [
+        np.frompyfunc(Fraction, 1, 1)(np.eye(4, dtype=int)) / 4,
+        np.full((4, 4), "0"),
+    ], ids=["exact-I/4", "string"])
+    def test_non_numeric_matrix_rejected(self, m):
+        # np.isfinite raised "TypeError: ufunc 'isfinite' not supported"
+        message = f"expected a numeric matrix, got dtype {m.dtype}"
+        for call in (validate_state, state.hermiticity_deviation):
+            with pytest.raises(ValueError, match=message):
+                call(m)
 
     def test_deviation_is_measured_within_the_gate_and_rejected_above_it(self):
         m = np.array([[0.0, 1.0 + 1e-10], [1.0, 0.0]])
