@@ -4,10 +4,10 @@ An inequality is one dense coefficient table g with an axis per party, setting 0
 identity, and two-sided classical bounds.  Covers classical bounds by exhaustive enumeration
 of deterministic local strategies, Born probabilities and quantum values from a shared state
 and one observable list per party, and the built-in three-party game: Sliwa's inequality #5,
-its homogenized form and the paper's observables.  An object-array operand makes a quantum
-contraction exact: no float one may join it, ints join either.  Every object-array entry, of
-g, rho or an observable, enters through one converter as a Fraction: an int, a Fraction, a
-finite float or a complex with zero imaginary part, and anything else raises.  One gate,
+its homogenized form and the paper's observables.  One dtype rule: an array of a NUMERIC kind
+holds numbers, and every entry of any other g, rho, observable or correlation table enters as a
+Fraction through one converter, which names what is not a number; such a rho, observable or
+correlation table makes the contraction or S exact, and no float array may join it.  One gate,
 support, checks g against the observables' settings before any sum over g's support.
 """
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from . import tolerances
 
 N_SETTINGS = 4  # homogenized form: settings 0..3 (0 = identity, 3 = unused)
+NUMERIC = "biufc"  # the dtype kinds read as numbers: bool, int, unsigned, float, complex
 
 MAX_STRATEGY_SPACE = 2 ** 24
 # no intermediate of the strategy search has more than this many entries,
@@ -41,8 +42,7 @@ def outcome_signs(n_parties: int) -> np.ndarray:
 
 
 def _fraction(v) -> Fraction:
-    """An object-array entry of g, rho or an observable as a Fraction: an int, a Fraction, a finite
-    float or a complex with zero imaginary part, a numpy scalar read as its Python value."""
+    """An int, Fraction, finite float or real complex as a Fraction; a numpy scalar as its value."""
     v = v.item() if isinstance(v, np.generic) else v
     if isinstance(v, complex) and v.imag:  # not numbers.Complex, which a float is too
         raise ValueError(f"exact entry {v} is complex: a non-zero imaginary part")
@@ -54,7 +54,10 @@ def _fraction(v) -> Fraction:
     return Fraction(v)
 
 
-_FRACTIONS = np.frompyfunc(_fraction, 1, 1)  # the one way in for every object-array entry
+def _fractions(a) -> np.ndarray:
+    """The one way in for each entry of a non-NUMERIC array; a datetime or timedelta as its text."""
+    a = np.asarray(a)  # as an object, numpy would hand a nanosecond datetime over as an int
+    return np.frompyfunc(_fraction, 1, 1)(a.astype(str) if a.dtype.kind in "mM" else a)
 
 
 def coefficient_table(g) -> np.ndarray:
@@ -65,9 +68,9 @@ def coefficient_table(g) -> np.ndarray:
         raise ValueError(f"coefficient table must be a cube with an axis per party, "
                          f"got shape {g.shape}")
     if g.dtype != float:  # a float64 table is real already
-        if (numeric := g.dtype.kind in "biufc") and g.imag.any():
+        if (numeric := g.dtype.kind in NUMERIC) and g.imag.any():
             raise ValueError("coefficient table has a non-zero imaginary part")
-        real = g.real if numeric else _FRACTIONS(g)  # numpy would cast the string "1" to 1.0
+        real = g.real if numeric else _fractions(g)  # numpy would cast the string "1" to 1.0
         try:
             g = np.asarray(real, dtype=float)
         except OverflowError:  # a Python int or Fraction beyond the float range
@@ -288,18 +291,18 @@ def measurement_observables() -> list[list[np.ndarray]]:
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
 
-def _observable_stacks(obs: list[list[np.ndarray]], *operands) -> tuple[list[np.ndarray], bool]:
-    """Each party's (settings, 2, 2) observable stack, and whether the contraction is exact, in
-    Fractions: it is when obs or operands hold an object array, and then a float one raises."""
+def _observable_stacks(obs: list[list[np.ndarray]], *operands) -> tuple[list, list, bool]:
+    """Each party's (settings, 2, 2) observable stack, the operands, and whether they are exact."""
     if empty := [k for k, o in enumerate(obs, 1) if not len(o)]:
         raise ValueError(f"party {empty[0]} has no observables")
-    found = {(np.shape(o), np.asarray(o).dtype.kind) for o in itertools.chain(*obs)}
-    if bad := {shape for shape, _ in found} - {(2, 2)}:
+    if bad := {np.shape(o) for o in itertools.chain(*obs)} - {(2, 2)}:
         raise ValueError(f"every observable must be 2x2, got shape {min(bad)}")
-    kinds = {kind for _, kind in found} | {np.asarray(a).dtype.kind for a in operands}
-    if (exact := "O" in kinds) and kinds & {"f", "c"}:
+    kinds = {np.asarray(a).dtype.kind for a in itertools.chain(*obs, operands)}
+    convert = _fractions if (exact := not kinds <= set(NUMERIC)) else np.asarray
+    stacks, operands = [np.array(list(map(convert, o))) for o in obs], list(map(convert, operands))
+    if exact and kinds & {"f", "c"}:  # after the entries, so a string is named as not a number
         raise ValueError("exact (object) and float operands cannot mix")
-    return [_FRACTIONS(np.array(o)) if exact else np.array(o) for o in obs], exact
+    return stacks, operands, exact
 
 
 def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
@@ -312,8 +315,7 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
     if np.shape(rho) != (2 ** n,) * 2:
         raise ValueError(f"rho {np.shape(rho)} must be {2 ** n}x{2 ** n} for {n} observable lists")
-    stacks, exact = _observable_stacks(obs, rho)
-    p = (_FRACTIONS if exact else np.asarray)(rho).reshape((2,) * 2 * n)
+    stacks, (p,), exact = _observable_stacks(obs, np.asarray(rho).reshape((2,) * 2 * n))
     # labels: party k's row and column axes k and n + k (as in rho), its
     # setting and outcome axes 2n + 2k and 2n + 2k + 1
     for k, o in enumerate(stacks):
@@ -345,7 +347,7 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
 
 def correlations(pmf: np.ndarray) -> np.ndarray:
     """E(x) = sum_a a_1 ... a_n P(a|x) for every tuple of a Born table."""
-    e = pmf @ outcome_signs(pmf.ndim - 1).prod(axis=1)
+    e = np.asarray(pmf) @ outcome_signs(np.ndim(pmf) - 1).prod(axis=1)
     if not np.abs(e).max() <= 1.0 + tolerances.FLOAT:  # a NaN fails this too
         raise ValueError(f"correlation {e.flat[np.abs(e).argmax()]} outside [-1, 1]")
     return e
@@ -391,10 +393,10 @@ def correlation(rho: np.ndarray, obs: list[list[np.ndarray]],
 
 
 def expression_value(g: np.ndarray, corr: np.ndarray) -> float | Fraction:
-    """S = sum_x g(x) E(x) over the support of g; exact for an object table, g as Fractions."""
-    g, idx = support(g, corr.shape)
-    if (e := corr[idx]).dtype == object:
-        return sum(_FRACTIONS(g[idx]) * e)
+    """S = sum_x g(x) E(x) over the support of g; exact, in Fractions, for a non-NUMERIC corr."""
+    g, idx = support(g, np.shape(corr))
+    if (e := np.asarray(corr)[idx]).dtype.kind not in NUMERIC:
+        return sum(_fractions(g[idx]) * _fractions(e))
     # Python's left-to-right sum of numpy scalars: np.sum pairs terms, moving S
     return sum(g[idx] * e).item()
 
@@ -409,11 +411,11 @@ def quantum_value(ineq: Inequality, rho: np.ndarray,
 def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the observed
     settings, contracted once with each party's (settings, 2, 2) stack of 2x2 observables, all
-    checked as in born_table; object ones make B exact, with g's entries as Fractions."""
+    checked as in born_table; non-NUMERIC ones make B exact, with g's entries as Fractions."""
     g, n = support(g, [len(o) for o in obs])[0], len(obs)
-    stacks, exact = _observable_stacks(obs)
+    stacks, _, exact = _observable_stacks(obs)
     stacks = [t[:s] for t, s in zip(stacks, g.shape)]
-    g = (_FRACTIONS if exact else np.asarray)(g[tuple(slice(len(t)) for t in stacks)])
+    g = (_fractions if exact else np.asarray)(g[tuple(slice(len(t)) for t in stacks)])
     # party k's setting, row and column axes are k, n + k and 2n + k
     operands = itertools.chain(*[(t, [k, n + k, 2 * n + k]) for k, t in enumerate(stacks)])
     b = np.einsum(g, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)

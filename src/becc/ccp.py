@@ -73,9 +73,7 @@ def success_probability(value, sum_abs_g):
     return (sum_abs_g + value) / (2 * sum_abs_g) if exact else 0.5 * (1.0 + value / sum_abs_g)
 
 
-def exact_success_quantum(s_value, sum_abs_g):
-    """Quantum success probability from the Bell expression value S."""
-    return success_probability(s_value, sum_abs_g)
+exact_success_quantum = success_probability  # perfbench/run.py calls it; ROADMAP item 3 deletes it
 
 
 def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fraction | float]:

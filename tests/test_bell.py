@@ -223,10 +223,13 @@ class TestTableDtypes:
     @pytest.mark.parametrize("table,entry", [
         (np.array([["1", "0"], ["0", "1"]]), "'1'"),
         (np.array([[b"0", b"1"], [b"1", b"0"]]), "b'0'"),
-    ], ids=["str", "bytes"])
+        (np.array([[1, 0], [0, 1]], dtype="M8[ns]"), "'1970-01-01T00:00:00.000000001'"),
+        (np.array([[1, 0], [0, 1]], dtype="m8"), "'1 generic time units'"),
+    ], ids=["str", "bytes", "datetime64-ns", "timedelta64"])
     def test_non_numeric_table_entry_is_not_a_number(self, table, entry):
         # numpy cast the string "1" to 1.0, and the exactness check then raised
-        # "coefficient table entry 1 is not exactly a float"
+        # "coefficient table entry 1 is not exactly a float"; as objects, the
+        # nanosecond datetimes and the timedeltas were the ints of [[1, 0], [0, 1]]
         message = re.escape(f"exact entry {entry} is not a number")
         for call in (lambda: Inequality(table, -2, 2), lambda: bell.table_weight(table),
                      lambda: bell.search_strategies(table, False)):
@@ -516,9 +519,10 @@ class TestBornTable:
 
 
 class TestEntryRule:
-    """Every object-array entry, of g, rho or an observable, enters through one
-    converter: an int, a Fraction, a finite float or a complex number with a
-    zero imaginary part, a numpy scalar read as its Python value."""
+    """Every entry of a non-NUMERIC array, of g, rho, an observable or the
+    correlations, enters through one converter: an int, a Fraction, a finite
+    float or a complex number with a zero imaginary part, a numpy scalar read
+    as its Python value."""
 
     # where each operand can reach each consumer
     PLACES = [("born_table", "rho"), ("born_table", "obs"), ("quantum_value", "g"),
@@ -569,6 +573,75 @@ class TestEntryRule:
             result = self.run(consumer, where, entry)
             assert np.array_equal(result, half)
             assert list(map(type, np.ravel(result))) == list(map(type, np.ravel(half)))
+
+
+class TestDtypeRule:
+    """bell.NUMERIC names the dtype kinds read as numbers.  An array of any other
+    kind makes its contraction or S exact, and its entries enter through the entry
+    rule, so wherever it arrives a string, bytes or datetime is named as not a
+    number, by an entry of its own."""
+
+    # (fill, the entry rule's name for it)
+    FILLS = [("x", "'x'"), (b"x", "b'x'"), (np.datetime64("2020-01-01"), "'2020-01-01'"),
+             # as objects these two were the ints 5 and 1
+             (np.datetime64(5, "ns"), "'1970-01-01T00:00:00.000000005'"),
+             (np.timedelta64(1), "'1 generic time units'")]
+    IDS = ["str", "bytes", "datetime64", "datetime64-ns", "timedelta64"]
+
+    @staticmethod
+    def raises(fill_name, call):
+        with pytest.raises(ValueError, match=re.escape(f"exact entry {fill_name} is not a number")):
+            call()
+
+    @staticmethod
+    def consumer(name, rho, obs, ineq):
+        return {"born_table": lambda: bell.born_table(rho, obs),
+                "quantum_value": lambda: quantum_value(ineq, rho, obs),
+                "GameTables": lambda: ccp.GameTables(rho, obs, ineq),
+                "bell_operator": lambda: bell.bell_operator(ineq.g, obs)}[name]
+
+    @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
+    @pytest.mark.parametrize("consumer", ["born_table", "quantum_value", "GameTables"])
+    def test_rho(self, obs, hom, consumer, fill, name):
+        # a str rho raised "TypeError: invalid data type for einsum"
+        self.raises(name, self.consumer(consumer, np.full((8, 8), fill), obs, hom))
+
+    @pytest.mark.parametrize("among", ["float", "int"])
+    @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
+    @pytest.mark.parametrize("consumer",
+                             ["born_table", "quantum_value", "GameTables", "bell_operator"])
+    def test_observable(self, rho, obs, hom, consumer, fill, name, among):
+        # stacked with its party's float identity first, a str observable turned the
+        # identity's entries into '1.0'; among floats born_table raised "The 'out' kwarg
+        # is necessary...", and B numpy's UFuncTypeError
+        if among == "int":
+            obs = [[np.eye(2, dtype=int), np.diag([1, -1]), np.array([[0, 1], [1, 0]])]] * 3
+        obs = [obs[0], [*obs[1][:2], np.full((2, 2), fill)], obs[2]]
+        self.raises(name, self.consumer(consumer, rho, obs, hom))
+
+    @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
+    def test_correlations(self, hom, fill, name):
+        # a str table raised numpy's UFuncTypeError
+        self.raises(name, lambda: bell.expression_value(hom.g, np.full((3, 3, 3), fill)))
+
+    def test_object_correlations_of_floats_give_an_exact_value(self, rho, obs, hom):
+        corr = bell.correlations(bell.born_table(rho, obs))
+        s = bell.expression_value(hom.g, corr.astype(object))
+        g, idx = bell.support(hom.g, corr.shape)
+        assert type(s) is Fraction
+        assert s == sum(Fraction(c) * Fraction(e) for c, e in zip(g[idx], corr[idx]))
+        assert float(s) == pytest.approx(bell.expression_value(hom.g, corr), abs=1e-12)
+
+    def test_array_likes_give_the_array_results(self, rho, obs, hom):
+        # a nested-list pmf raised "AttributeError: 'list' object has no attribute 'ndim'",
+        # and a nested-list corr "... no attribute 'shape'"
+        pmf = bell.born_table(rho, obs)
+        corr = bell.correlations(pmf)
+        assert bell.correlations(pmf.tolist()).tobytes() == corr.tobytes()
+        s = bell.expression_value(hom.g, corr)
+        for g, c in ((hom.g, corr.tolist()), (hom.g.tolist(), corr.tolist())):
+            value = bell.expression_value(g, c)
+            assert type(value) is float and value.hex() == s.hex()
 
 
 class TestQuantumValue:
