@@ -8,7 +8,8 @@ its homogenized form and the paper's observables.  One dtype rule: an array of a
 holds numbers, and every entry of any other g, rho, observable or correlation table enters as a
 Fraction through one converter, which names what is not a number; such a rho, observable or
 correlation table makes the contraction or S exact, and no float array may join it.  One gate,
-support, checks g against the observables' settings before any sum over g's support.
+support, checks g against the observables' settings before any sum over g's support.  The Born
+table and the Bell operator are each one fixed einsum step per party, in party order.
 """
 from __future__ import annotations
 
@@ -315,16 +316,12 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     n, eye, sign = len(obs), np.eye(2, dtype=int), np.array([1, -1])[:, None, None]
     if np.shape(rho) != (2 ** n,) * 2:
         raise ValueError(f"rho {np.shape(rho)} must be {2 ** n}x{2 ** n} for {n} observable lists")
-    stacks, (p,), exact = _observable_stacks(obs, np.asarray(rho).reshape((2,) * 2 * n))
-    # labels: party k's row and column axes k and n + k (as in rho), its
-    # setting and outcome axes 2n + 2k and 2n + 2k + 1
+    stacks, (p,), exact = _observable_stacks(obs, rho)
+    # p as (settings so far, outcomes so far, party k's row, later rows, its column, later columns)
     for k, o in enumerate(stacks):
-        stack = (eye + sign * o[:, None]) / 2  # x + (-y) is x - y, bit for bit
-        measured = list(range(2 * n, 2 * n + 2 * k + 2))
-        rows, cols = list(range(k, n)), list(range(n + k, 2 * n))
-        out = measured + rows[1:] + cols[1:] if k < n - 1 else measured[0::2] + measured[1::2]
-        p = np.einsum(p, measured[:-2] + rows + cols, stack, measured[-2:] + [n + k, k], out)
-    p = p.reshape(p.shape[:n] + (-1,))
+        r, stack = 2 ** (n - k - 1), (eye + sign * o[:, None]) / 2  # x - y is x + (-y), bitwise
+        p = np.einsum("XAirjc,xaji->XxAarc", p.reshape(-1, 2 ** k, 2, r, 2, r), stack)
+    p = p.reshape(*(len(t) for t in stacks), -1)
     if exact:  # no clamp and no renormalization
         if min(p.flat) < 0 or (p.sum(axis=-1) != 1).any():
             raise ValueError("exact outcome probabilities must be >= 0 and sum to 1")
@@ -347,7 +344,9 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
 
 def correlations(pmf: np.ndarray) -> np.ndarray:
     """E(x) = sum_a a_1 ... a_n P(a|x) for every tuple of a Born table."""
-    e = np.asarray(pmf) @ outcome_signs(np.ndim(pmf) - 1).prod(axis=1)
+    if (pmf := np.asarray(pmf)).dtype.kind not in NUMERIC:  # its entries by the entry rule
+        pmf = _fractions(pmf)
+    e = pmf @ outcome_signs(pmf.ndim - 1).prod(axis=1)
     if not np.abs(e).max() <= 1.0 + tolerances.FLOAT:  # a NaN fails this too
         raise ValueError(f"correlation {e.flat[np.abs(e).argmax()]} outside [-1, 1]")
     return e
@@ -412,14 +411,14 @@ def bell_operator(g: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     """B = sum_x g(x) O_{1,x_1} (x) ... (x) O_{n,x_n}, so S = trace(rho B): g cut to the observed
     settings, contracted once with each party's (settings, 2, 2) stack of 2x2 observables, all
     checked as in born_table; non-NUMERIC ones make B exact, with g's entries as Fractions."""
-    g, n = support(g, [len(o) for o in obs])[0], len(obs)
+    g = support(g, [len(o) for o in obs])[0]
     stacks, _, exact = _observable_stacks(obs)
     stacks = [t[:s] for t, s in zip(stacks, g.shape)]
-    g = (_fractions if exact else np.asarray)(g[tuple(slice(len(t)) for t in stacks)])
-    # party k's setting, row and column axes are k, n + k and 2n + k
-    operands = itertools.chain(*[(t, [k, n + k, 2 * n + k]) for k, t in enumerate(stacks)])
-    b = np.einsum(g, list(range(n)), *operands, list(range(n, 3 * n)), optimize=True)
-    return b.reshape(2 ** n, 2 ** n)
+    b = (_fractions if exact else np.asarray)(g[tuple(slice(len(t)) for t in stacks)])
+    # b as (party k's setting, later settings, rows so far, columns so far)
+    for k, t in enumerate(stacks):
+        b = np.einsum("xsrc,xij->sricj", b.reshape(len(t), -1, 2 ** k, 2 ** k), t)
+    return b.reshape(2 ** len(stacks), -1)
 
 
 general_quantum_value = quantum_value

@@ -121,8 +121,8 @@ class GameTables:
 
         # one Born contraction gives the correlations, S and the quantum cell law
         born = bell.born_table(self.rho, self.obs)
-        g, idx = bell.support(self.ineq.g, born.shape[:-1])
-        self.correlations = bell.correlations(born)
+        self.correlations, idx = bell.correlations(born), np.nonzero(g := self.ineq.g)
+        # the one gate: expression_value checks g, valid as Inequality built it, against obs
         s = self.quantum_value = bell.expression_value(g, self.correlations)
         # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
         self.p_quantum_exact = success_probability(s, w := self.ineq.sum_abs())

@@ -133,7 +133,7 @@ def validate_state(rho: np.ndarray) -> StateReport:
 
 
 def state_to_json(rho: np.ndarray) -> str:
-    """Serialize a density matrix as a row-major array of [re, im] pairs."""
+    """A density matrix as a row-major array of [re, im] pairs; a non-finite entry raises."""
     rho = np.asarray(rho, dtype=complex)
     data = [[x.real, x.imag] for x in rho.ravel()]
-    return json.dumps({"dim": rho.shape[0], "entries": data})
+    return json.dumps({"dim": rho.shape[0], "entries": data}, allow_nan=False)

@@ -624,6 +624,11 @@ class TestDtypeRule:
         # a str table raised numpy's UFuncTypeError
         self.raises(name, lambda: bell.expression_value(hom.g, np.full((3, 3, 3), fill)))
 
+    @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
+    def test_pmf(self, fill, name):
+        # a str or datetime64[ns] pmf raised numpy's UFuncTypeError
+        self.raises(name, lambda: bell.correlations(np.full((3, 3, 3, 8), fill)))
+
     def test_object_correlations_of_floats_give_an_exact_value(self, rho, obs, hom):
         corr = bell.correlations(bell.born_table(rho, obs))
         s = bell.expression_value(hom.g, corr.astype(object))

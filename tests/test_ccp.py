@@ -106,13 +106,16 @@ class TestSuccessProbability:
         assert type(p) is float and p == pytest.approx(15 / 22, abs=1e-15)
 
     def test_quantum_headline(self):
-        assert exact_success_quantum(8.00685, 22) == pytest.approx(0.681974, abs=1e-5)
+        assert success_probability(8.00685, 22) == pytest.approx(0.681974, abs=1e-5)
 
     def test_quantum_follows_the_exactness_rule(self):
-        # a float S gives success_probability's float, rational inputs a Fraction
-        assert exact_success_quantum(8.00685, 22) == success_probability(8.00685, 22.0)
-        p = exact_success_quantum(Fraction(88027, 11000), 22)
-        assert type(p) is Fraction and p == success_probability(Fraction(88027, 11000), 22)
+        # a float S gives a float whatever the weight's type, rational inputs a Fraction
+        p = success_probability(8.00685, 22)
+        assert type(p) is float and p == success_probability(8.00685, 22.0)
+        p = success_probability(Fraction(88027, 11000), 22)
+        assert type(p) is Fraction and p == (22 + Fraction(88027, 11000)) / 44
+        # the quantum name is the same function, not a second rule
+        assert exact_success_quantum is success_probability
 
     def test_zero_value_is_coin_flip(self):
         assert success_probability(0, 7) == Fraction(1, 2)

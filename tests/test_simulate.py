@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +157,13 @@ class TestTables:
         assert t.quantum_value == 5
         assert type(t.p_quantum_exact) is float and type(t.p_classical_exact) is float
         assert t.p_quantum_exact == 27 / 44
+
+    def test_gate_runs_once(self, rho, obs):
+        # expression_value gates g against the observables; GameTables ran
+        # bell.support a second time on the same table
+        with mock.patch.object(bell, "support", wraps=bell.support) as gate:
+            GameTables(rho, obs)
+        assert gate.call_count == 1
 
     def test_rejects_setting_without_observable(self, obs):
         g = bell.homogenize(bell.sliwa5()).g.copy()

@@ -213,6 +213,14 @@ class TestSerialization:
         back = np.array([complex(re, im) for re, im in doc["entries"]])
         assert np.array_equal(back.reshape(doc["dim"], doc["dim"]), rho)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_raises(self, rho, entry):
+        # json.dumps wrote NaN and Infinity, which no JSON parser has to read
+        bad = rho.astype(complex)
+        bad[2, 5] = entry
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            state.state_to_json(bad)
+
     def test_row_major_pairs(self, rho):
         doc = json.loads(state.state_to_json(rho))
         assert doc["dim"] == 8
