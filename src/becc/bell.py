@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +111,8 @@ class Inequality(NamedTuple("Inequality", [("g", np.ndarray), ("lower_bound", fl
 
     def __new__(cls, g, lower_bound, upper_bound):
         g = coefficient_table(g)
-        if not (math.isfinite(lower_bound) and math.isfinite(upper_bound)):
-            raise ValueError("bounds must be finite")
+        if not all(isinstance(b, Real) and math.isfinite(b) for b in (lower_bound, upper_bound)):
+            raise ValueError("bounds must be finite real numbers")
         if lower_bound > upper_bound:
             raise ValueError("lower bound exceeds upper bound")
         return super().__new__(cls, g, lower_bound, upper_bound)
@@ -202,28 +202,23 @@ def _fits(rows: list[int], s: int) -> bool:
     return max(rows) == 1 or max(rows) * len(rows) * s <= STRATEGY_BLOCK
 
 
-def search_strategies(
-    g: np.ndarray, pin_identity: bool,
-) -> tuple[float, float, ClassicalStrategy, int]:
+def search_strategies(g: np.ndarray) -> tuple[float, float, ClassicalStrategy, int]:
     """Exact extrema of sum_x g(x) a_1(x_1) ... a_n(x_n) over the
     deterministic strategies of n parties with s settings each.
 
-    With pin_identity (a Bell inequality) setting 0 outputs +1, as the
-    identity observable forces, and settings 1.. of every party are free;
-    without it (the game, where setting 0 is a plain input) every setting
-    is free.  Returns (min, max, argmax, 2^(free slots)): 64 for the
-    original inequality, 512 for the homogenized one.  A free slot is
-    live when its setting carries some of g's support for its party; a
-    dead slot changes no value, so it stays +1, and only the
-    2^(live slots) strategies are searched, at most MAX_STRATEGY_SPACE.
-    Row r puts bit j of r on live slot j, in party-major order, bit 0
-    meaning +1, so row 0 is the all-ones strategy; the argmax is the
-    smallest row that attains the maximum.  The expression is
-    multilinear in the parties' outputs, so g is contracted with one
-    local sign table per party, a row per assignment of its live slots,
-    last party first.  Where that would make an array of more than
-    STRATEGY_BLOCK entries, the last live slots are enumerated instead,
-    one combination at a time.
+    One slot rule: setting 0 outputs +1, as the identity observable forces, and settings 1..
+    of every party are its free slots; the game, whose setting 0 is a plain input, reads its
+    optimum from this search by a party flip (ccp.optimal_classical_strategy).  Returns (min,
+    max, argmax, 2^(free slots)): 64 for the original inequality, 512 for the homogenized one.
+    A free slot is live when its setting carries some of g's support for its party; a dead
+    slot changes no value, so it stays +1, and only the 2^(live slots) strategies are
+    searched, at most MAX_STRATEGY_SPACE.  Row r puts bit j of r on live slot j, in
+    party-major order, bit 0 meaning +1, so row 0 is the all-ones strategy; the argmax is the
+    smallest row that attains the maximum.  The expression is multilinear in the parties'
+    outputs, so g is contracted with one local sign table per party, a row per assignment of
+    its live slots, last party first.  Where that would make an array of more than
+    STRATEGY_BLOCK entries, the last live slots are enumerated instead, one combination at a
+    time.
     """
     g = coefficient_table(g)
     n, s = g.ndim, g.shape[0]
@@ -232,7 +227,7 @@ def search_strategies(
     # masks[p, 0, x]: the bit of party p's table row (or, once enumerated,
     # of the combination) that sets slot (p, x) to -1; 0 keeps it at +1
     masks, counts, live = np.zeros((n, 1, s), dtype=int), [0] * n, []
-    for p, x in itertools.product(range(n), range(pin_identity, s)):
+    for p, x in itertools.product(range(n), range(1, s)):
         if supported[p][x]:
             masks[p, 0, x], counts[p] = 1 << counts[p], counts[p] + 1
             live.append((p, x))
@@ -260,16 +255,13 @@ def search_strategies(
             for t in local:
                 k, r = divmod(k, len(t))
                 best.append(tuple(map(int, t[r].tolist())))
-    return low, high, ClassicalStrategy(tuple(best)), 2 ** (n * (s - pin_identity))
+    return low, high, ClassicalStrategy(tuple(best)), 2 ** (n * (s - 1))
 
 
 def classical_extrema(ineq: Inequality) -> tuple[float, float, ClassicalStrategy]:
-    """Exact extrema of a Bell expression over all deterministic strategies
-    with the identity pinned to +1: 64 for the original form, 512 for the
-    homogenized one.  Returns (min, max, argmax) with the argmax
-    tie-broken by the smallest bit encoding.
-    """
-    return search_strategies(ineq.g, True)[:3]
+    """(min, max, argmax) of search_strategies: over the deterministic strategies with the
+    identity at +1, 64 for the original form and 512 for the homogenized one."""
+    return search_strategies(ineq.g)[:3]
 
 
 # --- quantum side ---------------------------------------------------------
@@ -344,7 +336,10 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
 
 def correlations(pmf: np.ndarray) -> np.ndarray:
     """E(x) = sum_a a_1 ... a_n P(a|x) for every tuple of a Born table."""
-    if (pmf := np.asarray(pmf)).dtype.kind not in NUMERIC:  # its entries by the entry rule
+    if (pmf := np.asarray(pmf)).ndim < 2 or pmf.shape[-1] != 2 ** (pmf.ndim - 1):
+        raise ValueError(f"pmf of shape {pmf.shape}: after n >= 1 setting axes, one per party, "
+                         "the last axis must hold 2^n outcomes")
+    if pmf.dtype.kind not in NUMERIC:  # its entries by the entry rule
         pmf = _fractions(pmf)
     e = pmf @ outcome_signs(pmf.ndim - 1).prod(axis=1)
     if not np.abs(e).max() <= 1.0 + tolerances.FLOAT:  # a NaN fails this too

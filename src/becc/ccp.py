@@ -77,13 +77,15 @@ exact_success_quantum = success_probability  # perfbench/run.py calls it; ROADMA
 
 
 def optimal_classical_strategy(g: np.ndarray) -> tuple[ClassicalStrategy, Fraction | float]:
-    """Exhaustive search over per-party sign functions on the q-supported
-    settings (512 strategies for the built-in game).
-
-    Returns the lexicographically smallest maximizer of P(A = f) together
-    with its success probability, a Fraction exactly when g is integral.
-    """
-    _, best, argmax, _ = search_strategies(g, False)
+    """The best game strategy and its success probability, a Fraction exactly when g is
+    integral.  bell.search_strategies answers +1 on setting 0; negating one party's every answer
+    negates every term, so each game strategy is a search strategy or one with party 1 negated,
+    and the optimum is max(high, -low) of one search (64 strategies for the built-in game).
+    The argmax is the search's when high >= -low, else -g's with party 1's answers negated."""
+    low, best, argmax, _ = search_strategies(g := coefficient_table(g))
+    if -low > best:
+        _, best, argmax, _ = search_strategies(-g)
+        argmax = ClassicalStrategy((tuple(-v for v in argmax.a[0]), *argmax.a[1:]))
     w = table_weight(g)  # an int only when every float sum of g, best too, is exact
     return argmax, success_probability(round(best) if isinstance(w, int) else best, w)
 

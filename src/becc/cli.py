@@ -51,7 +51,7 @@ def cmd_bell_coefficients(args) -> None:
 
 def cmd_bell_bounds(args) -> tuple[dict, bool]:
     ineq = bell.sliwa5() if args.original else bell.homogenize(bell.sliwa5())
-    lo, hi, argmax, enumerated = bell.search_strategies(ineq.g, True)
+    lo, hi, argmax, enumerated = bell.search_strategies(ineq.g)
     return {
         "form": "original" if args.original else "homogenized",
         "min": lo,

@@ -93,7 +93,7 @@ class TestInequality:
         with pytest.raises(ValueError, match="cube"):
             Inequality(np.ones(shape), -1, 1)
         with pytest.raises(ValueError, match="cube"):  # not numpy's reshape error
-            bell.search_strategies(np.ones(shape), True)
+            bell.search_strategies(np.ones(shape))
 
     def test_rejects_all_zero_table(self):
         with pytest.raises(ValueError, match="all-zero"):
@@ -113,7 +113,7 @@ class TestInequality:
         # called directly, the search raised TypeError on NaN and returned
         # (-inf, inf) on inf as if it had succeeded
         with pytest.raises(ValueError, match="non-finite"):
-            bell.search_strategies(g, True)
+            bell.search_strategies(g)
 
     @pytest.mark.parametrize("scale", [1e-200, 5e-324, 1e200])
     def test_accepts_table_whose_sum_of_squares_underflows_or_overflows(self, scale):
@@ -121,7 +121,7 @@ class TestInequality:
         # entry-wise tests decide
         g = np.full((2, 2, 2), scale)
         assert np.array_equal(Inequality(g, -8, 8).g, g)
-        assert bell.search_strategies(g, True)[1] == 8 * scale
+        assert bell.search_strategies(g)[1] == 8 * scale
 
     @pytest.mark.parametrize("call", [
         lambda: ccp.input_distribution(np.full((2, 2), 1e308)),
@@ -139,6 +139,13 @@ class TestInequality:
     def test_rejects_non_finite_bound(self, lower, upper):
         with pytest.raises(ValueError, match="finite"):
             Inequality(np.ones((2, 2, 2)), lower, upper)
+
+    @pytest.mark.parametrize("bound", ["a", None, 1j, np.array([1.0])], ids=repr)
+    def test_rejects_non_real_bound(self, bound):
+        # math.isfinite let "TypeError: must be real number, not str" out for "a" and None
+        for lower, upper in ((bound, 1), (-1, bound)):
+            with pytest.raises(ValueError, match="bounds must be finite real numbers"):
+                Inequality(np.ones((2, 2, 2)), lower, upper)
 
     def test_rejects_complex_table(self):
         # numpy dropped the imaginary part with only a ComplexWarning
@@ -172,8 +179,7 @@ class TestTableDtypes:
         ineq = sliwa5() if form == "original" else homogenize(sliwa5())
         g = ineq.g.astype(dtype)
         assert bell.coefficient_table(g).dtype == np.float64
-        for pin in (True, False):
-            assert bell.search_strategies(g, pin) == bell.search_strategies(ineq.g, pin)
+        assert bell.search_strategies(g) == bell.search_strategies(ineq.g)
         typed = Inequality(g, ineq.lower_bound, ineq.upper_bound)
         assert classical_extrema(typed) == classical_extrema(ineq)
         strategy, p_c = ccp.optimal_classical_strategy(g)
@@ -185,8 +191,7 @@ class TestTableDtypes:
     def test_non_zero_imaginary_part_still_raises(self):
         g = homogenize(sliwa5()).g.astype(complex)
         g[1, 1, 1] += 1e-3j
-        for call in (lambda: Inequality(g, -8, 8), lambda: bell.search_strategies(g, True),
-                     lambda: bell.search_strategies(g, False),
+        for call in (lambda: Inequality(g, -8, 8), lambda: bell.search_strategies(g),
                      lambda: ccp.optimal_classical_strategy(g)):
             with pytest.raises(ValueError, match="imaginary"):
                 call()
@@ -216,7 +221,7 @@ class TestTableDtypes:
         # made None a NaN, named as a "non-finite entry"
         g = np.array([[entry, 1], [0, 1]], dtype=object)
         for call in (lambda: Inequality(g, -3, 3), lambda: bell.table_weight(g),
-                     lambda: bell.search_strategies(g, False)):
+                     lambda: bell.search_strategies(g)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -232,7 +237,7 @@ class TestTableDtypes:
         # nanosecond datetimes and the timedeltas were the ints of [[1, 0], [0, 1]]
         message = re.escape(f"exact entry {entry} is not a number")
         for call in (lambda: Inequality(table, -2, 2), lambda: bell.table_weight(table),
-                     lambda: bell.search_strategies(table, False)):
+                     lambda: bell.search_strategies(table)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -516,6 +521,13 @@ class TestBornTable:
     def test_correlations_reject_nan(self):
         with pytest.raises(ValueError, match="outside"):
             bell.correlations(np.full((3, 3, 3, 8), math.nan))
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3, 4), (3, 3, 3, 16), (2,), (), (3, 0)])
+    def test_correlations_reject_misshaped_pmf(self, shape):
+        # (3, 3, 3, 4) and (2,) raised numpy's "matmul: Input operand 1 has a mismatch in
+        # its core dimension 0", and the 0-d pmf "TypeError: ufunc 'right_shift' not supported"
+        with pytest.raises(ValueError, match=re.escape("last axis must hold 2^n outcomes")):
+            bell.correlations(np.full(shape, 0.125))
 
 
 class TestEntryRule:

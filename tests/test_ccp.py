@@ -185,12 +185,22 @@ class TestOptimalClassicalStrategy:
         assert success == 1
 
     def test_game_space_guard_counts_live_slots(self):
-        # every setting of the game is free, so a nominal space of 2^30;
-        # the support uses settings 0 and 9 of each party, 2^6 live
+        # the game reads the Bell search, a nominal space of 2^27; the
+        # support's one non-identity setting is 9, so 2^3 live
         g1 = np.zeros((10, 10, 10))
         g1[9, 0, 0] = g1[0, 9, 0] = g1[0, 0, 9] = 1.0
         _, success = optimal_classical_strategy(g1)
         assert success == 1
+
+    def test_negative_constant_is_won_by_negating_party_1(self):
+        # the search pins setting 0 to +1, so g = -1 on the identity tuple has
+        # min = max = -1; the game negates party 1's every answer and wins
+        # every round
+        g1 = np.zeros((2, 2, 2))
+        g1[0, 0, 0] = -1.0
+        strategy, success = optimal_classical_strategy(g1)
+        assert strategy == ClassicalStrategy(((-1, -1), (1, 1), (1, 1)))
+        assert success == 1 and success_by_enumeration(strategy, g1) == 1
 
     def test_near_integral_table_stays_a_probability(self):
         # within np.allclose of integers, but not integral: truncating the

@@ -123,13 +123,23 @@ def test_free_slot_rule_matches_oracle(sized, block):
 @settings(max_examples=30, deadline=None)
 @given(party_tables(3))
 def test_optimal_strategy_matches_oracle(entries):
-    # the game's search frees every setting its support uses, identity
-    # included: at most 4 parties x 3 settings, 2^12 strategies
-    free = sorted({(p, x[p]) for x in entries for p in range(parties(entries))})
-    _, want_hi, want_argmax = oracle(entries, free, 3)
+    # P_C against every game strategy, setting 0 included (at most 4 parties x
+    # 3 settings, 2^12 strategies): an independent check of the party-flip symmetry
+    n = parties(entries)
+    free = sorted({(p, x[p]) for x in entries for p in range(n)})
+    _, want_hi, _ = oracle(entries, free, 3)
     strategy, success = ccp.optimal_classical_strategy(dense(entries, 3))
     total = sum(abs(c) for c in entries.values())
     assert success == Fraction(total + want_hi, 2 * total)
+    # the returned strategy attains it in the game
+    assert sum(c * math.prod(strategy.a[p][s] for p, s in enumerate(x))
+               for x, c in entries.items()) == want_hi
+    # the tie-break: the pinned argmax of g, or that of -g with party 1 negated
+    pinned = [(p, s) for p in range(n) for s in range(1, 3)]
+    low, high, want_argmax = oracle(entries, pinned, 3)
+    if -low > high:
+        want_argmax = oracle({x: -c for x, c in entries.items()}, pinned, 3)[2]
+        want_argmax[0] = [-v for v in want_argmax[0]]
     assert rows(strategy) == want_argmax
 
 
@@ -680,7 +690,7 @@ def assert_searches_live_slots_only(n_parties):
     assert (lo, hi) == (-1, 1)
     assert all(v == 1 for row in argmax.a for v in row)
     assert peak < 16 * 2 ** 20
-    assert bell.search_strategies(hom.g, True)[3] == 2 ** (3 * n_parties)
+    assert bell.search_strategies(hom.g)[3] == 2 ** (3 * n_parties)
 
 
 def test_padded_eight_party_table_searches_live_slots_only():
