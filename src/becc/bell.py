@@ -280,6 +280,19 @@ def measurement_observables() -> list[list[np.ndarray]]:
     return [list(per_party) for _ in range(3)]
 
 
+def rational_observables() -> list[list[np.ndarray]]:
+    """measurement_observables() as fresh object arrays of Fractions: each reflection at angle
+    theta has (cos, sin) = ((1 - u^2), 2u) / (1 + u^2), u = tan(theta/2) rounded to 1e-12, so
+    it squares exactly to the identity and lies within ~1e-12 of the float one."""
+    def reflection(theta):
+        u = Fraction(round(math.tan(theta / 2) * 10 ** 12), 10 ** 12)
+        c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+        return np.array([[c, s], [s, -c]])
+    eye = np.array([[1, 0], [0, 1]], dtype=object) * Fraction(1)
+    per_party = [eye, reflection(2 * math.pi / 9), reflection(-4 * math.pi / 9)]
+    return [list(per_party) for _ in range(3)]
+
+
 # a1 a2 a3 for each outcome index of the built-in game
 OUTCOME_PRODUCT = outcome_signs(3).prod(axis=1)
 
@@ -339,6 +352,8 @@ def correlations(pmf: np.ndarray) -> np.ndarray:
     if (pmf := np.asarray(pmf)).ndim < 2 or pmf.shape[-1] != 2 ** (pmf.ndim - 1):
         raise ValueError(f"pmf of shape {pmf.shape}: after n >= 1 setting axes, one per party, "
                          "the last axis must hold 2^n outcomes")
+    if 0 in pmf.shape:  # only a setting axis can be: the last holds 2^n >= 2 outcomes
+        raise ValueError(f"pmf of shape {pmf.shape}: setting axis {pmf.shape.index(0)} is empty")
     if pmf.dtype.kind not in NUMERIC:  # its entries by the entry rule
         pmf = _fractions(pmf)
     e = pmf @ outcome_signs(pmf.ndim - 1).prod(axis=1)

@@ -4,9 +4,14 @@ Inputs: each of the g.ndim parties gets a uniform bit y_i in {-1,+1} and
 a setting x_i, with x drawn from Q(x) = |g(x)| / sum|g|.  The common
 target is f = y_1...y_n sign(g(x)).  Each party broadcasts one bit; the
 guess, their product, is right with P = (1 + S/sum|g|)/2 for a strategy
-of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  The sign bits
-cancel: the guess is right exactly when a_1...a_n = sign g(x), the win
-cells of GameTables.  P_C and P_Q are Fractions when g is integral
+of Bell value S (Brukner et al., PRL 92, 127901 (2004)).  P_C, the best
+such strategy's P, bounds every deterministic one-bit protocol: of any bit
+e_i(x_i, y_i) only h_i(x_i) = (e_i(x_i, +1) - e_i(x_i, -1))/2 correlates with
+the target, and the product guess's P is multilinear in h, so it peaks at
+h = +-1, the y_i a_i(x_i) form.  Any other guess G(e_1, ..., e_n) adds only
+Fourier terms that miss some party j, which average to zero over y_j.  The
+sign bits cancel: the guess is right exactly when a_1...a_n = sign g(x), the
+win cells of GameTables.  P_C and P_Q are Fractions when g is integral
 (bell.table_weight) and S exact, else floats.
 """
 from __future__ import annotations

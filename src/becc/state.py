@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,15 @@ def build_vb_state() -> np.ndarray:
     weights = np.array([w / wsum for w in MIXTURE_WEIGHTS])[:, None, None]
     # sum over axis 0 adds the four components in order, as a += loop would
     return (weights * (kets[:, :, None] * kets.conj()[:, None, :]).real).sum(axis=0)
+
+
+def printed_state() -> np.ndarray:
+    """The density matrix exactly as the printed digits give it, a fresh 8x8 object array of
+    Fractions: rho = sum_i (p_i / sum p) psi_i psi_i^T / (psi_i^T psi_i), with no square root,
+    so its trace is exactly 1.  float(rho) is within ~6e-17 of build_vb_state()."""
+    kets = np.array([[Fraction(repr(v)) for v in k] for k in PURE_STATE_AMPLITUDES])
+    weights = [Fraction(repr(w)) for w in MIXTURE_WEIGHTS]
+    return sum(w / sum(weights) / np.dot(k, k) * np.outer(k, k) for w, k in zip(weights, kets))
 
 
 @functools.cache

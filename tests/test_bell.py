@@ -529,6 +529,13 @@ class TestBornTable:
         with pytest.raises(ValueError, match=re.escape("last axis must hold 2^n outcomes")):
             bell.correlations(np.full(shape, 0.125))
 
+    @pytest.mark.parametrize("shape, axis", [((0, 2), 0), ((0, 0, 4), 0), ((3, 0, 4), 1)])
+    def test_correlations_name_an_empty_setting_axis(self, shape, axis):
+        # (0, 2) and (0, 0, 4) pass the shape check and raised numpy's "zero-size array to
+        # reduction operation maximum which has no identity" from the |E| <= 1 guard
+        with pytest.raises(ValueError, match=re.escape(f"setting axis {axis} is empty")):
+            bell.correlations(np.full(shape, 0.125))
+
 
 class TestEntryRule:
     """Every entry of a non-NUMERIC array, of g, rho, an observable or the

@@ -9,7 +9,11 @@ Born contraction on Fraction arrays must equal its float table, and
 the Bell operator of Fraction observables its exact kron sum and, at
 two parties, its value S(|i><j|) on every matrix unit; game tables of
 Fraction inputs keep S, P_C and P_Q exact on an integral table, and give
-both probabilities as floats on a non-integral one.  The search, the Born table
+both probabilities as floats on a non-integral one.  The paper's exact inputs,
+state.printed_state and bell.rational_observables, keep S > 8 and P_Q > 15/22 = P_C
+with no tolerance, and leave the Born table and S equal under rational local
+rotations and outcome relabelling; no one-bit protocol, enumerated in integers,
+beats P_C.  The search, the Born table
 and the game tables are checked with 2, 3 and 4 parties, and the Born table
 against its projector oracle with 1 to 5."""
 import functools
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from becc import bell, ccp, simulate, state
+from becc import bell, ccp, simulate, state, tolerances
 
 
 # for the examples that run bell_operator or the exact Born table: shrinking
@@ -262,29 +266,76 @@ def test_exact_born_table_matches_float_table(seed, entries):
     assert float(s) == pytest.approx(bell.quantum_value(ineq, float_rho, float_obs), abs=1e-12)
 
 
-def paper_reflection(theta):
-    """The paper's reflection at angle theta, with u = tan(theta / 2)
-    rounded to 1e-12: exactly a reflection, within about 1e-12 of it."""
-    return rational_reflection(Fraction(round(math.tan(theta / 2) * 10 ** 12), 10 ** 12))
+@pytest.fixture(scope="module")
+def exact_paper_obs():
+    return bell.rational_observables()
 
 
 @pytest.fixture(scope="module")
-def exact_paper_obs():
-    # O1 at angle 2 pi / 9; O2 = [[s, -c], [-c, -s]] at -4 pi / 9
-    row = [exact(np.eye(2)), paper_reflection(2 * math.pi / 9), paper_reflection(-4 * math.pi / 9)]
-    return [row] * 3
+def exact_paper_tables():
+    """The paper's game on the printed state and the rational reflections, all exact."""
+    return simulate.GameTables(rho=state.printed_state(), obs=bell.rational_observables())
 
 
-def test_exact_paper_value_beats_the_classical_bound(exact_paper_obs):
-    rho, hom = state.build_vb_state(), bell.homogenize(bell.sliwa5())
-    exact_rho = exact(rho)
-    s = bell.quantum_value(hom, exact_rho / np.trace(exact_rho), exact_paper_obs)
-    assert type(s) is Fraction
-    assert s > hom.upper_bound
-    assert abs(float(s) - bell.quantum_value(hom, rho, bell.measurement_observables())) <= 1e-13
-    p_q = ccp.success_probability(s, 22)
-    assert type(p_q) is Fraction
-    assert p_q > Fraction(15, 22)
+def exact_rank(m):
+    """The rank of a Fraction matrix by Gauss elimination, with no tolerance."""
+    rows, rank = [list(r) for r in m], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_printed_state_is_an_exact_rank_four_density_matrix():
+    rho = state.printed_state()
+    assert rho.shape == (8, 8) and all(type(v) is Fraction for v in rho.flat)
+    assert np.trace(rho) == 1
+    assert (rho == rho.T).all()
+    assert exact_rank(rho) == 4
+    assert np.abs(rho.astype(float) - state.build_vb_state()).max() <= tolerances.FLOAT
+    # a fresh array on every call: writing to one leaves the next untouched
+    rho[0, 0] = 0
+    assert state.printed_state()[0, 0] != 0
+
+
+def test_rational_observables_are_exact_reflections(exact_paper_obs):
+    floats = bell.measurement_observables()
+    assert [len(row) for row in exact_paper_obs] == [len(row) for row in floats] == [3] * 3
+    eye = np.eye(2, dtype=int)
+    for row, float_row in zip(exact_paper_obs, floats):
+        for o, f in zip(row, float_row):
+            assert all(type(v) is Fraction for v in o.flat)
+            assert (o == o.T).all() and (o @ o == eye).all()
+            assert np.abs(o.astype(float) - f).max() <= 1e-12
+
+
+def test_exact_paper_value_beats_the_classical_bound(exact_paper_tables):
+    t, hom = exact_paper_tables, bell.homogenize(bell.sliwa5())
+    for value in (t.quantum_value, t.p_quantum_exact, t.p_classical_exact):
+        assert type(value) is Fraction
+    assert t.quantum_value > hom.upper_bound
+    assert t.p_quantum_exact > Fraction(15, 22) == t.p_classical_exact
+    default = simulate.default_tables()
+    assert abs(float(t.quantum_value) - default.quantum_value) <= tolerances.FLOAT
+    assert t.p_quantum_exact == ccp.success_probability(t.quantum_value, 22)
+
+
+def test_exact_paper_tables_are_sampled(exact_paper_tables):
+    # the exact cell law, cast to floats once, is the float game's within FLOAT
+    default = simulate.default_tables()
+    for protocol, law in exact_paper_tables.cell_law.items():
+        assert law.dtype == np.float64
+        assert np.abs(law - default.cell_law[protocol]).max() <= tolerances.FLOAT
+    shots, p_q = 10 ** 6, float(exact_paper_tables.p_quantum_exact)
+    report = simulate.run_protocol(simulate.SimulationConfig(shots, seed=1), exact_paper_tables)
+    assert report.shots == shots
+    assert abs(report.empirical_probability - p_q) <= 5 * math.sqrt(p_q * (1 - p_q) / shots)
 
 
 def assert_exact_bell_operator(g, rho, obs):
@@ -309,9 +360,8 @@ def test_exact_bell_operator_matches_kron_oracle(seed, entries):
 
 
 def test_exact_bell_operator_of_the_paper_game(exact_paper_obs):
-    exact_rho = exact(state.build_vb_state())
     hom = bell.homogenize(bell.sliwa5())
-    assert_exact_bell_operator(hom.g, exact_rho / np.trace(exact_rho), exact_paper_obs)
+    assert_exact_bell_operator(hom.g, state.printed_state(), exact_paper_obs)
 
 
 def unit_path_bell_operator(g, obs):
@@ -363,8 +413,8 @@ def test_bell_operator_permutes_with_the_parties(seed, case):
 
 
 def test_exact_born_table_rejects_invalid_state(exact_paper_obs):
-    # the transcribed rho, converted exactly, misses unit trace by 3 * 2^-56;
-    # divided by its trace it passes (above), so no probability is negative
+    # the transcribed rho, converted exactly, misses unit trace by 3 * 2^-56,
+    # which is why state.printed_state builds rho from the printed digits
     exact_rho = exact(state.build_vb_state())
     assert np.trace(exact_rho) == Fraction(2 ** 56 - 3, 2 ** 56)
     with pytest.raises(ValueError, match="sum to 1"):
@@ -373,6 +423,115 @@ def test_exact_born_table_rejects_invalid_state(exact_paper_obs):
     assert np.trace(bad) == 1  # every sum is exactly 1
     with pytest.raises(ValueError, match=">= 0"):
         bell.born_table(bad, exact_paper_obs)
+
+
+def test_exact_local_rotations_leave_born_table_and_value(exact_paper_tables):
+    # R on parties 1 and 3: rho -> U rho U^T with U = R (x) I (x) R, and each of their
+    # observables O -> R O R^T, so every tr(rho O_x) and every projector trace stays
+    r = exact([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+    u = functools.reduce(np.kron, [r, exact(np.eye(2)), r])
+    rho, obs = state.printed_state(), bell.rational_observables()
+    rotated_rho = u @ rho @ u.T
+    rotated_obs = [[r @ o @ r.T for o in row] if k != 1 else row for k, row in enumerate(obs)]
+    assert (rotated_rho != rho).any() and (rotated_obs[0][1] != obs[0][1]).any()
+    assert (bell.born_table(rotated_rho, rotated_obs) == bell.born_table(rho, obs)).all()
+    s = bell.quantum_value(exact_paper_tables.ineq, rotated_rho, rotated_obs)
+    assert type(s) is Fraction and s == exact_paper_tables.quantum_value
+
+
+def test_exact_born_table_does_not_signal():
+    # the marginal of any one or two parties' outcomes is a function of their
+    # own settings only: equal, as Fractions, to its value at the others' setting 0
+    p = bell.born_table(state.printed_state(), bell.rational_observables()).reshape((3,) * 3 + (2,) * 3)
+    for kept in itertools.chain(*(itertools.combinations(range(3), r) for r in (1, 2))):
+        marginal = p.sum(axis=tuple(3 + j for j in range(3) if j not in kept), keepdims=True)
+        at_zero = marginal[tuple(slice(None) if j in kept else slice(1) for j in range(3))]
+        assert (marginal == at_zero).all()
+
+
+@pytest.mark.parametrize("party, setting", itertools.product(range(3), range(3)))
+def test_exact_outcome_relabelling_leaves_the_game(exact_paper_tables, party, setting):
+    # O_{k,x} -> -O_{k,x} swaps party k's outcomes on setting x; negating g's
+    # slice (k, x) as well leaves every term g(x) E(x), and P_C's search space
+    obs = bell.rational_observables()
+    obs[party][setting] = -obs[party][setting]
+    hom = exact_paper_tables.ineq
+    g = hom.g.copy()
+    g[(slice(None),) * party + (setting,)] *= -1
+    assert (g != hom.g).any()
+    t = simulate.GameTables(state.printed_state(), obs,
+                            bell.Inequality(g, hom.lower_bound, hom.upper_bound))
+    assert type(t.quantum_value) is Fraction
+    want = exact_paper_tables
+    assert (t.quantum_value, t.p_classical_exact, t.p_quantum_exact) == (
+        want.quantum_value, want.p_classical_exact, want.p_quantum_exact)
+
+
+def one_bit_messages(s):
+    """Every bit e(x, y) that a party with s settings can broadcast, as +-1 of
+    shape (4^s, s, 2): y = +1, then y = -1, on the last axis."""
+    bits = np.arange(4 ** s)[:, None] >> np.arange(2 * s) & 1
+    return (1 - 2 * bits).reshape(-1, s, 2)
+
+
+def product_guess_wins(g):
+    """Twice the |g|-weighted win count, over every x and y, of each protocol in
+    which party i broadcasts any bit e_i(x_i, y_i) and the guess is the product
+    of the n bits, shape (4^s,) * n, in integers.  A shot wins when
+    e_1...e_n = y_1...y_n sign g(x), i.e. [win] = (1 + g(x) prod_i y_i e_i / |g(x)|) / 2,
+    and y_i enters only party i's factor, so the sum over y leaves
+    sum_x g(x) h_1(x_1)...h_n(x_n), with h_i(x) = sum_y y e_i(x, y)."""
+    h = one_bit_messages(g.shape[0]) @ np.array([1, -1])
+    v = g.astype(np.int64)
+    for _ in range(g.ndim):  # contract party k's setting, append its messages
+        v = np.tensordot(v, h, axes=(0, 1))
+    return 2 ** g.ndim * int(np.abs(g).sum()) + v
+
+
+def any_guess_wins(g):
+    """The |g|-weighted win count of every two-party protocol with any bits e_1, e_2 and
+    any of the 16 guesses G(e_1, e_2), shape (16, 4^s, 4^s), by a literal sum over x and y."""
+    bits = (1 - one_bit_messages(g.shape[0])) // 2  # 1 for -1
+    guesses = (1 - 2 * (np.arange(16)[:, None] >> np.arange(4) & 1)).reshape(16, 2, 2)
+    # axes (G, e_1, x_1, y_1, e_2, x_2, y_2)
+    guess = guesses[:, bits[:, :, :, None, None, None], bits[None, None, None]]
+    y = np.array([1, -1])
+    target = y[None, :, None, None] * y[None, None, None, :] * np.sign(g)[:, None, :, None]
+    weight = np.abs(g)[:, None, None, :, None]  # (x_1, y_1, e_2, x_2, y_2)
+    return ((guess == target[:, :, None]) * weight).sum(axis=(2, 3, 5, 6))
+
+
+def test_no_one_bit_protocol_beats_the_classical_optimum():
+    # all 64^3 = 262,144 choices of (e_1, e_2, e_3) on the settings 0..2 that
+    # carry the built-in game (setting 3 carries none of it), in integers
+    hom = bell.homogenize(bell.sliwa5())
+    g = hom.g[:3, :3, :3].astype(int)
+    assert (g == hom.g[:3, :3, :3]).all() and np.abs(g).sum() == 22
+    wins = product_guess_wins(g)
+    assert wins.shape == (64,) * 3
+    best = Fraction(int(wins.max()), 2 ** 4 * 22)
+    assert best == ccp.optimal_classical_strategy(hom.g)[1] == Fraction(15, 22)
+    assert (wins == wins.max()).sum() == 2400
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.integers(1, 3).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_tables(s, n)))))
+def test_one_bit_protocols_match_the_optimal_strategy(sized):
+    # no deterministic one-bit protocol beats the y a(x) strategies; at two
+    # parties with any of the 16 guesses, whose product guess is the one above
+    s, entries = sized
+    g = dense(entries, s).astype(int)
+    n, weight = g.ndim, int(np.abs(g).sum())
+    wins = product_guess_wins(g)
+    p_c = ccp.optimal_classical_strategy(g)[1]
+    assert type(p_c) is Fraction
+    assert Fraction(int(wins.max()), 2 ** (n + 1) * weight) == p_c
+    if n == 2:
+        general = any_guess_wins(g)
+        product = general[int(0b0110)]  # G(e_1, e_2) = e_1 e_2 on the bits 00, 01, 10, 11
+        assert (2 * product == wins).all()
+        assert Fraction(int(general.max()), 4 * weight) == p_c
 
 
 def cut_sides(n):
