@@ -280,17 +280,17 @@ def measurement_observables() -> list[list[np.ndarray]]:
     return [list(per_party) for _ in range(3)]
 
 
+def rational_reflection(u) -> np.ndarray:
+    """[[c, s], [s, -c]], (c, s) = (1 - u^2, 2u) / (1 + u^2): a reflection, exact at rational u."""
+    c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+    return np.array([[c, s], [s, -c]])
+
+
 def rational_observables() -> list[list[np.ndarray]]:
-    """measurement_observables() as fresh object arrays of Fractions: each reflection at angle
-    theta has (cos, sin) = ((1 - u^2), 2u) / (1 + u^2), u = tan(theta/2) rounded to 1e-12, so
-    it squares exactly to the identity and lies within ~1e-12 of the float one."""
-    def reflection(theta):
-        u = Fraction(round(math.tan(theta / 2) * 10 ** 12), 10 ** 12)
-        c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
-        return np.array([[c, s], [s, -c]])
-    eye = np.array([[1, 0], [0, 1]], dtype=object) * Fraction(1)
-    per_party = [eye, reflection(2 * math.pi / 9), reflection(-4 * math.pi / 9)]
-    return [list(per_party) for _ in range(3)]
+    """measurement_observables() as fresh Fraction arrays, u = tan(theta/2) rounded to 1e-12."""
+    o1, o2 = (rational_reflection(Fraction(round(math.tan(t / 2) * 10 ** 12), 10 ** 12))
+              for t in (2 * math.pi / 9, -4 * math.pi / 9))
+    return [[np.identity(2, dtype=object) * Fraction(1), o1, o2] for _ in range(3)]
 
 
 # a1 a2 a3 for each outcome index of the built-in game

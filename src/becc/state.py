@@ -78,9 +78,8 @@ def build_vb_state() -> np.ndarray:
 
 
 def printed_state() -> np.ndarray:
-    """The density matrix exactly as the printed digits give it, a fresh 8x8 object array of
-    Fractions: rho = sum_i (p_i / sum p) psi_i psi_i^T / (psi_i^T psi_i), with no square root,
-    so its trace is exactly 1.  float(rho) is within ~6e-17 of build_vb_state()."""
+    """rho from the printed digits as a fresh 8x8 array of Fractions, with trace exactly 1:
+    sum_i (p_i / sum p) psi_i psi_i^T / (psi_i^T psi_i), within ~6e-17 of build_vb_state()."""
     kets = np.array([[Fraction(repr(v)) for v in k] for k in PURE_STATE_AMPLITUDES])
     weights = [Fraction(repr(w)) for w in MIXTURE_WEIGHTS]
     return sum(w / sum(weights) / np.dot(k, k) * np.outer(k, k) for w, k in zip(weights, kets))

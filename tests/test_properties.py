@@ -232,20 +232,13 @@ def exact(a):
     return np.array([Fraction(v) for v in np.ravel(a).tolist()], dtype=object).reshape(np.shape(a))
 
 
-def rational_reflection(u):
-    """[[c, s], [s, -c]] at (c, s) = ((1 - u^2), 2u) / (1 + u^2): a real
-    reflection with Fraction entries for a rational u."""
-    c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
-    return exact([[c, s], [s, -c]])
-
-
 def exact_inputs(rng, n):
     """rho = M M^T over its trace for a small integer M, and reflections at
     rational u: every entry is a Fraction, so every output is exact."""
     m = rng.integers(-3, 4, (2 ** n, 2 ** n))
     gram = m @ m.T
     assume(np.trace(gram) > 0)
-    obs = [[exact(np.eye(2))] + [rational_reflection(Fraction(int(k), 7))
+    obs = [[exact(np.eye(2))] + [bell.rational_reflection(Fraction(int(k), 7))
                                  for k in rng.integers(-20, 21, 2)] for _ in range(n)]
     return exact(gram) / int(np.trace(gram)), obs
 
@@ -321,8 +314,7 @@ def test_exact_paper_value_beats_the_classical_bound(exact_paper_tables):
         assert type(value) is Fraction
     assert t.quantum_value > hom.upper_bound
     assert t.p_quantum_exact > Fraction(15, 22) == t.p_classical_exact
-    default = simulate.default_tables()
-    assert abs(float(t.quantum_value) - default.quantum_value) <= tolerances.FLOAT
+    assert abs(float(t.quantum_value) - simulate.default_tables().quantum_value) <= 1e-13
     assert t.p_quantum_exact == ccp.success_probability(t.quantum_value, 22)
 
 
