@@ -16,26 +16,11 @@ from becc.bell import (
     g_coefficient,
     general_quantum_value,
     homogenize,
-    measurement_observables,
     quantum_value,
     sliwa5,
 )
 from becc.cli import main
-
-
-@pytest.fixture(scope="module")
-def rho():
-    return state.build_vb_state()
-
-
-@pytest.fixture(scope="module")
-def obs():
-    return measurement_observables()
-
-
-@pytest.fixture(scope="module")
-def hom():
-    return homogenize(sliwa5())
+from conftest import exact
 
 
 class TestSymmetrize:
@@ -188,8 +173,8 @@ class TestTableDtypes:
         if form == "homogenized":
             assert p_c == Fraction(15, 22)
 
-    def test_non_zero_imaginary_part_still_raises(self):
-        g = homogenize(sliwa5()).g.astype(complex)
+    def test_non_zero_imaginary_part_still_raises(self, hom):
+        g = hom.g.astype(complex)
         g[1, 1, 1] += 1e-3j
         for call in (lambda: Inequality(g, -8, 8), lambda: bell.search_strategies(g),
                      lambda: ccp.optimal_classical_strategy(g)):
@@ -464,7 +449,7 @@ class TestBornTable:
     def test_rejects_mixed_exact_and_float_operands(self, obs, hom, consumer, mix):
         # the Born table raised "exact outcome probabilities must be >= 0 and sum
         # to 1", and B came back as an object array of Python floats
-        exact, rho = np.frompyfunc(Fraction, 1, 1), np.eye(8) / 8
+        rho = np.eye(8) / 8
         if mix == "exact-rho":
             rho = exact(np.eye(8, dtype=int)) / 8
         elif mix == "exact-obs":
@@ -484,7 +469,6 @@ class TestBornTable:
     def test_rejects_complex_exact_entry(self, consumer, where):
         # Fraction(-1j) raised "TypeError: argument should be a string or a
         # Rational instance" out of the exact conversion
-        exact = np.frompyfunc(Fraction, 1, 1)
         rho, eye = exact(np.eye(4, dtype=int)) / 4, exact(np.eye(2, dtype=int))
         second = np.array([[0, -1j], [1j, 0]], dtype=object)  # Y
         if where == "rho":
@@ -501,7 +485,6 @@ class TestBornTable:
     def test_object_int_observables_are_exact(self, hom):
         # (I +- O) / 2 turned object ints into floats, and the exact table raised
         # "exact outcome probabilities must be >= 0 and sum to 1"
-        exact = np.frompyfunc(Fraction, 1, 1)
         rho = exact(np.eye(8, dtype=int)) / 12  # 1/3 |000><000| + 2/3 I/8
         rho[0, 0] += Fraction(1, 3)
         ints = [np.eye(2, dtype=int), np.diag([1, -1]), np.array([[0, 1], [1, 0]])]
@@ -553,7 +536,6 @@ class TestEntryRule:
     def run(consumer, where, entry):
         """An exact two-party game, g = [[0, 1], [1/2, 0]], rho = diag(1/2, 1/2, 0, 0) and
         party 2's second observable diag(1/2, -1/2), with entry for one of the 1/2s."""
-        exact = np.frompyfunc(Fraction, 1, 1)
         g = np.array([[0, 1], [Fraction(1, 2), 0]], dtype=object)
         rho = exact(np.diag([1, 1, 0, 0])) / 2
         obs = [[exact(np.eye(2, dtype=int)), exact(np.diag([1, -1]))],

@@ -21,8 +21,8 @@ from becc.ccp import (
 
 
 @pytest.fixture(scope="module")
-def g():
-    return bell.homogenize(bell.sliwa5()).g
+def g(hom):
+    return hom.g
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +165,7 @@ class TestOptimalClassicalStrategy:
         _, success = optimal_classical_strategy(g)
         assert success == Fraction(15, 22)
 
-    def test_matches_bell_bound_enumeration(self, g):
-        hom = bell.homogenize(bell.sliwa5())
+    def test_matches_bell_bound_enumeration(self, g, hom):
         _, hi, _ = bell.classical_extrema(hom)
         _, success = optimal_classical_strategy(g)
         assert success == success_probability(int(hi), 22)

@@ -1,10 +1,10 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from becc import linalg
+from conftest import exact
 
 
 I4 = np.eye(4)
@@ -71,7 +71,7 @@ class TestHermitianEigenvalues:
 
     def test_rejects_exact_matrix(self):
         # state's square-matrix gate, which both helpers share: numpy's TypeError before
-        m = np.frompyfunc(Fraction, 1, 1)(np.eye(4, dtype=int)) / 4
+        m = exact(np.eye(4, dtype=int)) / 4
         for call in (linalg.hermitian_eigenvalues,
                      lambda m: linalg.partial_transpose(m, 1, [2, 2])):
             with pytest.raises(ValueError, match="expected a numeric matrix, got dtype object"):

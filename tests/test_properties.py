@@ -12,8 +12,11 @@ Fraction inputs keep S, P_C and P_Q exact on an integral table, and give
 both probabilities as floats on a non-integral one.  The paper's exact inputs,
 state.printed_state and bell.rational_observables, keep S > 8 and P_Q > 15/22 = P_C
 with no tolerance, and leave the Born table and S equal under rational local
-rotations and outcome relabelling; no one-bit protocol, enumerated in integers,
-beats P_C.  The search, the Born table
+rotations and outcome relabelling, and P_C and P_Q equal when g is scaled by an
+integer; Haar-random local unitaries move the float game's Born table, S, P_Q and
+partial-transpose minima by at most FLOAT.  Relabelling the parties of rho, the
+observables and g together leaves S, P_C and P_Q, as equal Fractions on exact
+inputs; no one-bit protocol, enumerated in integers, beats P_C.  The search, the Born table
 and the game tables are checked with 2, 3 and 4 parties, and the Born table
 against its projector oracle with 1 to 5."""
 import functools
@@ -30,6 +33,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from becc import bell, ccp, simulate, state, tolerances
+from conftest import exact
 
 
 # for the examples that run bell_operator or the exact Born table: shrinking
@@ -226,12 +230,6 @@ def test_bell_operator_matches_kron_oracle(seed, entries):
     assert trace.real == pytest.approx(bell.quantum_value(ineq, rho, obs), abs=1e-12)
 
 
-def exact(a):
-    """a as an object array of Fractions, entry by entry: exact for ints
-    and floats."""
-    return np.array([Fraction(v) for v in np.ravel(a).tolist()], dtype=object).reshape(np.shape(a))
-
-
 def exact_inputs(rng, n):
     """rho = M M^T over its trace for a small integer M, and reflections at
     rational u: every entry is a Fraction, so every output is exact."""
@@ -308,22 +306,21 @@ def test_rational_observables_are_exact_reflections(exact_paper_obs):
             assert np.abs(o.astype(float) - f).max() <= 1e-12
 
 
-def test_exact_paper_value_beats_the_classical_bound(exact_paper_tables):
-    t, hom = exact_paper_tables, bell.homogenize(bell.sliwa5())
+def test_exact_paper_value_beats_the_classical_bound(exact_paper_tables, hom, tables):
+    t = exact_paper_tables
     for value in (t.quantum_value, t.p_quantum_exact, t.p_classical_exact):
         assert type(value) is Fraction
     assert t.quantum_value > hom.upper_bound
     assert t.p_quantum_exact > Fraction(15, 22) == t.p_classical_exact
-    assert abs(float(t.quantum_value) - simulate.default_tables().quantum_value) <= 1e-13
+    assert abs(float(t.quantum_value) - tables.quantum_value) <= 1e-13
     assert t.p_quantum_exact == ccp.success_probability(t.quantum_value, 22)
 
 
-def test_exact_paper_tables_are_sampled(exact_paper_tables):
+def test_exact_paper_tables_are_sampled(exact_paper_tables, tables):
     # the exact cell law, cast to floats once, is the float game's within FLOAT
-    default = simulate.default_tables()
     for protocol, law in exact_paper_tables.cell_law.items():
         assert law.dtype == np.float64
-        assert np.abs(law - default.cell_law[protocol]).max() <= tolerances.FLOAT
+        assert np.abs(law - tables.cell_law[protocol]).max() <= tolerances.FLOAT
     shots, p_q = 10 ** 6, float(exact_paper_tables.p_quantum_exact)
     report = simulate.run_protocol(simulate.SimulationConfig(shots, seed=1), exact_paper_tables)
     assert report.shots == shots
@@ -351,8 +348,7 @@ def test_exact_bell_operator_matches_kron_oracle(seed, entries):
     assert_exact_bell_operator(dense(entries, 3), rho, obs)
 
 
-def test_exact_bell_operator_of_the_paper_game(exact_paper_obs):
-    hom = bell.homogenize(bell.sliwa5())
+def test_exact_bell_operator_of_the_paper_game(exact_paper_obs, hom):
     assert_exact_bell_operator(hom.g, state.printed_state(), exact_paper_obs)
 
 
@@ -404,10 +400,10 @@ def test_bell_operator_permutes_with_the_parties(seed, case):
     assert (moved == want).all()
 
 
-def test_exact_born_table_rejects_invalid_state(exact_paper_obs):
+def test_exact_born_table_rejects_invalid_state(exact_paper_obs, rho):
     # the transcribed rho, converted exactly, misses unit trace by 3 * 2^-56,
     # which is why state.printed_state builds rho from the printed digits
-    exact_rho = exact(state.build_vb_state())
+    exact_rho = exact(rho)
     assert np.trace(exact_rho) == Fraction(2 ** 56 - 3, 2 ** 56)
     with pytest.raises(ValueError, match="sum to 1"):
         bell.born_table(exact_rho, exact_paper_obs)
@@ -459,6 +455,91 @@ def test_exact_outcome_relabelling_leaves_the_game(exact_paper_tables, party, se
         want.quantum_value, want.p_classical_exact, want.p_quantum_exact)
 
 
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary: the Q of a complex Gaussian matrix, each
+    column's phase fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_local_unitaries_leave_the_paper_game(rho, obs, tables, seed):
+    # U_1 (x) U_2 (x) U_3 on rho and U_k O U_k^+ on party k's observables leave
+    # every projector trace; a partial transpose turns U_k into its conjugate,
+    # another local unitary, so the cuts' spectra stay too
+    rng = np.random.default_rng(seed)
+    us = [haar_unitary(rng) for _ in range(3)]
+    u = functools.reduce(np.kron, us)
+    rotated_rho = u @ rho @ u.conj().T
+    rotated_obs = [[v @ o @ v.conj().T for o in row] for v, row in zip(us, obs)]
+    born = bell.born_table(rotated_rho, rotated_obs)
+    assert np.abs(born - bell.born_table(rho, obs)).max() <= tolerances.FLOAT
+    t = simulate.GameTables(rotated_rho, rotated_obs)
+    assert abs(t.quantum_value - tables.quantum_value) <= tolerances.FLOAT
+    assert abs(t.p_quantum_exact - tables.p_quantum_exact) <= tolerances.FLOAT
+    pt_mins = state.validate_state(rotated_rho).pt_min_eigenvalues
+    want = state.validate_state(rho).pt_min_eigenvalues
+    assert np.abs(np.subtract(pt_mins, want)).max() <= tolerances.FLOAT
+
+
+def permuted_values(perm, rho, obs, g):
+    """(S, P_C, P_Q) of the game on (rho, obs, g), then of the same game with
+    party perm[k] relabelled as party k: rho's row and column axes, the
+    observable lists and g's axes move together."""
+    n = len(perm)
+    moved = np.reshape(rho, (2,) * 2 * n).transpose(list(perm) + [n + p for p in perm])
+    values = []
+    for game in ((rho, obs, g),
+                 (moved.reshape(2 ** n, 2 ** n), [obs[p] for p in perm], g.transpose(perm))):
+        t = simulate.GameTables(*game[:2], inequality(game[2]))
+        values.append((t.quantum_value, t.p_classical_exact, t.p_quantum_exact))
+    return values
+
+
+@settings(NO_SHRINK, max_examples=15)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3).flatmap(
+    lambda n: st.tuples(sparse_tables(3, n), st.permutations(range(n)))))
+def test_exact_party_permutation_leaves_the_game(seed, case):
+    entries, perm = case
+    rho, obs = exact_inputs(np.random.default_rng(seed), len(perm))
+    values, moved = permuted_values(perm, rho, obs, dense(entries, 3))
+    assert all(type(v) is Fraction for v in values)
+    assert moved == values
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), party_tables(3).flatmap(
+    lambda entries: st.tuples(st.just(entries), st.permutations(range(parties(entries))))))
+def test_party_permutation_leaves_the_game(seed, case):
+    entries, perm = case
+    rng = np.random.default_rng(seed)
+    rho, obs = ginibre_state(rng, len(perm)), random_observables(rng, len(perm))
+    values, moved = permuted_values(perm, rho, obs, dense(entries, 3))
+    assert max(abs(a - b) for a, b in zip(moved, values)) <= tolerances.FLOAT
+
+
+@settings(max_examples=30, deadline=None)
+@given(party_tables(3), st.integers(1, 7))
+def test_scaling_an_integral_table_leaves_p_c(entries, m):
+    g = dense(entries, 3).astype(int)
+    p_c = ccp.optimal_classical_strategy(g)[1]
+    assert type(p_c) is Fraction
+    assert ccp.optimal_classical_strategy(m * g)[1] == p_c
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_scaling_the_paper_game_leaves_p_c_and_p_q(exact_paper_tables, hom, m):
+    # m g weighs m sum |g| and reaches m S: both probabilities are ratios of the two
+    t = simulate.GameTables(state.printed_state(), bell.rational_observables(),
+                            bell.Inequality(m * hom.g, -8 * m, 8 * m))
+    want = exact_paper_tables
+    assert type(t.p_classical_exact) is Fraction and type(t.p_quantum_exact) is Fraction
+    assert t.quantum_value == m * want.quantum_value
+    assert (t.p_classical_exact, t.p_quantum_exact) == (want.p_classical_exact,
+                                                        want.p_quantum_exact)
+
+
 def one_bit_messages(s):
     """Every bit e(x, y) that a party with s settings can broadcast, as +-1 of
     shape (4^s, s, 2): y = +1, then y = -1, on the last axis."""
@@ -493,10 +574,9 @@ def any_guess_wins(g):
     return ((guess == target[:, :, None]) * weight).sum(axis=(2, 3, 5, 6))
 
 
-def test_no_one_bit_protocol_beats_the_classical_optimum():
+def test_no_one_bit_protocol_beats_the_classical_optimum(hom):
     # all 64^3 = 262,144 choices of (e_1, e_2, e_3) on the settings 0..2 that
     # carry the built-in game (setting 3 carries none of it), in integers
-    hom = bell.homogenize(bell.sliwa5())
     g = hom.g[:3, :3, :3].astype(int)
     assert (g == hom.g[:3, :3, :3]).all() and np.abs(g).sum() == 22
     wins = product_guess_wins(g)
@@ -626,8 +706,7 @@ def stacked_projector_born_table(rho, obs):
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def test_built_in_state_matches_loop_oracle():
-    rho = state.build_vb_state()
+def test_built_in_state_matches_loop_oracle(rho):
     assert np.array_equal(rho, loop_build(state.PURE_STATE_AMPLITUDES, state.MIXTURE_WEIGHTS))
     assert rho.tobytes() == loop_build(state.PURE_STATE_AMPLITUDES,
                                        state.MIXTURE_WEIGHTS).tobytes()
@@ -713,13 +792,13 @@ def test_game_tables_match_per_tuple_oracle(entries, seed):
 
 @settings(NO_SHRINK, max_examples=10)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3))
-def test_exact_game_tables_give_exact_success_probabilities(seed, n):
+def test_exact_game_tables_give_exact_success_probabilities(hom, seed, n):
     # a Fraction Gram state and rational reflections: CHSH on settings 1 and 2
     # at n = 2, the built-in game at n = 3; S, P_C and P_Q all stay exact
     rho, obs = exact_inputs(np.random.default_rng(seed), n)
     chsh = np.zeros((3, 3))
     chsh[1:, 1:] = [[1, 1], [1, -1]]
-    ineq = bell.Inequality(chsh, -2, 2) if n == 2 else bell.homogenize(bell.sliwa5())
+    ineq = bell.Inequality(chsh, -2, 2) if n == 2 else hom
     tables = simulate.GameTables(rho, obs, ineq)
     assert type(tables.quantum_value) is Fraction
     assert type(tables.p_classical_exact) is Fraction

@@ -17,21 +17,7 @@ from becc.simulate import (
     run_protocol,
     sample_counts,
 )
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return simulate.default_tables()
-
-
-@pytest.fixture(scope="module")
-def rho():
-    return state.build_vb_state()
-
-
-@pytest.fixture(scope="module")
-def obs():
-    return bell.measurement_observables()
+from conftest import exact
 
 
 class TestBornDistribution:
@@ -142,15 +128,14 @@ class TestTables:
         simulate.default_tables()  # freezes its own observables, not the caller's
         assert all(o.flags.writeable for o in itertools.chain(*obs))
 
-    def test_rounded_weight_gives_float_success_probabilities(self):
+    def test_rounded_weight_gives_float_success_probabilities(self, hom):
         # exact I/8 and [I, Z, X]: S = g(0, 0, 0) = 5 exactly.  The weight
         # 22 + 2^-60 rounds to the float 22.0, which gave P_Q the Fraction
         # 27/44, 4.5e-21 off the exact weight's value, next to a float P_C
-        exact = np.frompyfunc(Fraction, 1, 1)
         rho = exact(np.eye(8, dtype=int)) / 8
         obs = [[exact(np.eye(2, dtype=int)), exact(np.diag([1, -1])),
                 exact(np.array([[0, 1], [1, 0]]))] for _ in range(3)]
-        g = bell.homogenize(bell.sliwa5()).g.copy()
+        g = hom.g.copy()
         g[0, 0, 2] = 2.0 ** -60
         assert np.abs(g).sum() == 22
         t = GameTables(rho, obs, bell.Inequality(g, -8, 8))
@@ -165,8 +150,8 @@ class TestTables:
             GameTables(rho, obs)
         assert gate.call_count == 1
 
-    def test_rejects_setting_without_observable(self, obs):
-        g = bell.homogenize(bell.sliwa5()).g.copy()
+    def test_rejects_setting_without_observable(self, obs, hom):
+        g = hom.g.copy()
         g[0, 3, 0] = 1
         ineq = bell.Inequality(g, -9, 9)
         with pytest.raises(ValueError, match="party 2 has no observable for setting 3"):
@@ -291,21 +276,15 @@ class TestDeterminism:
         assert counts.shape == (18, 8) and int(counts[tables.win].sum()) == successes
         assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
 
-    def test_exact_table_cell_counts_are_pinned(self):
+    def test_exact_table_cell_counts_are_pinned(self, hom):
         # a Fraction Gram state and rational reflections: the exact cell law,
         # cast to floats once, draws these counts
-        exact = np.frompyfunc(Fraction, 1, 1)
-
-        def reflection(u):  # [[c, s], [s, -c]] with c^2 + s^2 = 1, in Fractions
-            c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
-            return exact(np.array([[c, s], [s, -c]], dtype=object))
-
         m = np.arange(64).reshape(8, 8) * 7 % 5 - 2
         gram = exact(m @ m.T)
         rho = gram / int(np.trace(gram))
-        obs = [[exact(np.eye(2, dtype=int)), reflection(Fraction(1, 3)),
-                reflection(Fraction(-2, 5))] for _ in range(3)]
-        t = GameTables(rho, obs, bell.homogenize(bell.sliwa5()))
+        obs = [[exact(np.eye(2, dtype=int)), bell.rational_reflection(Fraction(1, 3)),
+                bell.rational_reflection(Fraction(-2, 5))] for _ in range(3)]
+        t = GameTables(rho, obs, hom)
         assert t.p_quantum_exact == Fraction(140349569, 230719940)
         assert t.cell_law["quantum"].dtype == np.float64
         counts = sample_counts(SimulationConfig(1_000_000, 3, "quantum", 3), t)

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +12,7 @@ from becc.state import (
     build_vb_state,
     validate_state,
 )
-
-
-@pytest.fixture(scope="module")
-def rho():
-    return build_vb_state()
+from conftest import exact
 
 
 class TestTranscription:
@@ -184,7 +179,7 @@ class TestValidate:
             validate_state(np.eye(6))
 
     @pytest.mark.parametrize("m", [
-        np.frompyfunc(Fraction, 1, 1)(np.eye(4, dtype=int)) / 4,
+        exact(np.eye(4, dtype=int)) / 4,
         np.full((4, 4), "0"),
     ], ids=["exact-I/4", "string"])
     def test_non_numeric_matrix_rejected(self, m):
