@@ -4,12 +4,12 @@ An inequality is one dense coefficient table g with an axis per party, setting 0
 identity, and two-sided classical bounds.  Covers classical bounds by exhaustive enumeration
 of deterministic local strategies, Born probabilities and quantum values from a shared state
 and one observable list per party, and the built-in three-party game: Sliwa's inequality #5,
-its homogenized form and the paper's observables.  One dtype rule: an array of a NUMERIC kind
-holds numbers, and every entry of any other g, rho, observable or correlation table enters as a
-Fraction through one converter, which names what is not a number; such a rho, observable or
-correlation table makes the contraction or S exact, and no float array may join it.  One gate,
-support, checks g against the observables' settings before any sum over g's support.  The Born
-table and the Bell operator are each one fixed einsum step per party, in party order.
+its homogenized form and the paper's observables.  One converter, _fractions, reads entries as
+Fractions and names what is not a number.  A float64 g is used as it is; any other g enters entry
+by entry through _fractions and must be exactly a float64 table.  A rho, observable or correlation
+table of a NUMERIC kind holds numbers; any other enters the same way, makes the contraction or S
+exact and may join no float array.  One gate, support, checks g against the observables' settings
+before any sum over g's support.  Born table and Bell operator: one einsum step per party each.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ def _fraction(v) -> Fraction:
 
 
 def _fractions(a) -> np.ndarray:
-    """The one way in for each entry of a non-NUMERIC array; a datetime or timedelta as its text."""
+    """The one way in for each entry of a non-NUMERIC array or a non-float64 g; times as text."""
     a = np.asarray(a)  # as an object, numpy would hand a nanosecond datetime over as an int
     return np.frompyfunc(_fraction, 1, 1)(a.astype(str) if a.dtype.kind in "mM" else a)
 
@@ -68,16 +68,14 @@ def coefficient_table(g) -> np.ndarray:
     if g.ndim == 0 or len(set(g.shape)) > 1:
         raise ValueError(f"coefficient table must be a cube with an axis per party, "
                          f"got shape {g.shape}")
-    if g.dtype != float:  # a float64 table is real already
-        if (numeric := g.dtype.kind in NUMERIC) and g.imag.any():
-            raise ValueError("coefficient table has a non-zero imaginary part")
-        real = g.real if numeric else _fractions(g)  # numpy would cast the string "1" to 1.0
+    if g.dtype != float:  # a float64 table is used as it is; any other enters entry by entry
+        exact = _fractions(g)  # numpy would cast the string "1" to 1.0
         try:
-            g = np.asarray(real, dtype=float)
+            g = np.asarray(exact, dtype=float)
         except OverflowError:  # a Python int or Fraction beyond the float range
             raise ValueError("coefficient table has a non-finite entry as a float") from None
-        if (lost := np.isfinite(g) & (g.astype(object) != real.astype(object))).any():
-            raise ValueError(f"coefficient table entry {real[lost][0]} is not exactly a float")
+        if (lost := g.astype(object) != exact).any():
+            raise ValueError(f"coefficient table entry {exact[lost][0]} is not exactly a float")
     # a finite, positive sum of squares bounds sum |g| and passes all three checks;
     # NaN, overflow, underflow fall through
     if not 0 < np.vdot(g, g) < math.inf:

@@ -91,8 +91,7 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, shard])))
 
 
-def sample_counts(config: SimulationConfig,
-                  tables: GameTables | None = None) -> np.ndarray:
+def sample_counts(config: SimulationConfig, tables: GameTables) -> np.ndarray:
     """Shot counts per (support tuple, outcome) cell, shape (len(support), 2^n).
 
     Shots are split across shards as evenly as possible (the first
@@ -101,7 +100,7 @@ def sample_counts(config: SimulationConfig,
     law for the protocol, and shard counts add, so the result does not
     depend on execution order.
     """
-    law = (tables or default_tables()).cell_law[config.protocol]
+    law = tables.cell_law[config.protocol]
     base, extra = divmod(config.shots, config.shards)
     counts = sum(_shard_rng(config.seed, k).multinomial(base + (k < extra), law.ravel())
                  for k in range(config.shards))

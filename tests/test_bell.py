@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ from becc.bell import (
 )
 from becc.cli import main
 from conftest import exact
+
+
+def consume(name, rho, obs, ineq):
+    """What one consumer of a state, one observable list per party and an inequality
+    makes of them: bell_operator and table_weight read only ineq.g."""
+    return {"born_table": lambda: bell.born_table(rho, obs),
+            "quantum_value": lambda: quantum_value(ineq, rho, obs),
+            "GameTables": lambda: ccp.GameTables(rho, obs, ineq),
+            "bell_operator": lambda: bell.bell_operator(ineq.g, obs),
+            "table_weight": lambda: bell.table_weight(ineq.g)}[name]()
 
 
 class TestSymmetrize:
@@ -87,6 +98,10 @@ class TestInequality:
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError, match="exceeds"):
             Inequality(np.ones((2, 2, 2)), 1, -1)
+
+    def test_accepts_equal_bounds(self):
+        ineq = Inequality(np.ones((2, 2, 2)), 8, 8)
+        assert (ineq.lower_bound, ineq.upper_bound) == (8, 8)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_coefficient(self, bad):
@@ -352,6 +367,16 @@ class TestClassicalExtrema:
         with pytest.raises(ValueError, match="too large"):
             classical_extrema(Inequality(g, -1, 1))
 
+    def test_strategy_space_guard_admits_its_bound(self, monkeypatch):
+        # at a bound of 2^3, 3 live slots are searched and 4 are not
+        monkeypatch.setattr(bell, "MAX_STRATEGY_SPACE", 2 ** 3)
+        g = np.zeros((3, 3, 3))
+        g[1, 0, 0] = g[0, 1, 0] = g[0, 0, 1] = 1.0
+        assert bell.search_strategies(g)[:2] == (-3, 3)
+        g[2, 0, 0] = 1.0
+        with pytest.raises(ValueError, match=re.escape("4 live slots: 2^4 strategies too large")):
+            bell.search_strategies(g)
+
 
 class TestObservables:
     def test_entries(self, obs):
@@ -422,6 +447,8 @@ class TestBornTable:
         # numpy's "operands could not be broadcast together" before
         pytest.param((np.eye(8) / 8, lambda obs: [obs[0], obs[1], []]),
                      "party 3 has no observables", id="empty-observable-list"),
+        # the gate is two-sided: below 1 as above
+        pytest.param(np.eye(8) / 16, "sum to 0.5", id="sum-to-half"),
     ])
     def test_rejects_invalid_state(self, obs, bad_rho, match):
         rho, edit = bad_rho if isinstance(bad_rho, tuple) else (bad_rho, list)
@@ -436,11 +463,8 @@ class TestBornTable:
         # gave p_quantum_exact = nan with no error
         rho = np.eye(8) / 8
         rho[3, 3] = bad
-        call = {"born_table": lambda: bell.born_table(rho, obs),
-                "quantum_value": lambda: bell.quantum_value(hom, rho, obs),
-                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs)}[consumer]
         with pytest.raises(ValueError, match="non-finite"):
-            call()
+            consume(consumer, rho, obs, hom)
 
     @pytest.mark.parametrize("consumer,mix", [
         *itertools.product(["born_table", "quantum_value", "GameTables"],
@@ -456,12 +480,8 @@ class TestBornTable:
             obs = [[exact(o) for o in party] for party in obs]
         else:  # beyond sliwa5's settings, so B never contracts it
             obs = [*obs[:2], [*obs[2], exact(np.diag([1, -1]))]]
-        call = {"born_table": lambda: bell.born_table(rho, obs),
-                "quantum_value": lambda: bell.quantum_value(hom, rho, obs),
-                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom),
-                "bell_operator": lambda: bell.bell_operator(sliwa5().g, obs)}[consumer]
         with pytest.raises(ValueError, match=re.escape("exact (object) and float operands")):
-            call()
+            consume(consumer, rho, obs, sliwa5() if consumer == "bell_operator" else hom)
 
     @pytest.mark.parametrize("consumer,where", [
         *itertools.product(["born_table", "quantum_value", "GameTables"], ["obs", "rho"]),
@@ -475,12 +495,8 @@ class TestBornTable:
             second = exact(np.diag([1, -1]))
             rho[0, 1], rho[1, 0] = 1j / 8, -1j / 8
         obs, ineq = [[eye, second]] * 2, Inequality(np.array([[0, 1], [1, 0]]), -2, 2)
-        call = {"born_table": lambda: bell.born_table(rho, obs),
-                "quantum_value": lambda: bell.quantum_value(ineq, rho, obs),
-                "GameTables": lambda: ccp.GameTables(rho=rho, obs=obs, ineq=ineq),
-                "bell_operator": lambda: bell.bell_operator(ineq.g, obs)}[consumer]
         with pytest.raises(ValueError, match=r"exact entry .* is complex"):
-            call()
+            consume(consumer, rho, obs, ineq)
 
     def test_object_int_observables_are_exact(self, hom):
         # (I +- O) / 2 turned object ints into floats, and the exact table raised
@@ -500,6 +516,14 @@ class TestBornTable:
         table = bell.born_table(rho, [ints] * 3)
         assert table.dtype == np.float64
         assert table.tobytes() == bell.born_table(rho, [[o * 1.0 for o in ints]] * 3).tobytes()
+
+    def test_every_numeric_kind_at_once_stays_on_the_float_path(self, rho, obs):
+        # a complex rho and bool, int, uint8 and float observables: the five NUMERIC kinds
+        ints = [np.eye(2, dtype=bool), np.diag([1, -1]), np.array([[0, 1], [1, 0]], dtype=np.uint8)]
+        table = bell.born_table(rho.astype(complex), [ints, *obs[1:]])
+        floats = [[o.astype(float) for o in ints], *obs[1:]]
+        assert table.dtype == np.float64
+        assert table.tobytes() == bell.born_table(rho.astype(complex), floats).tobytes()
 
     def test_correlations_reject_nan(self):
         with pytest.raises(ValueError, match="outside"):
@@ -541,12 +565,9 @@ class TestEntryRule:
         obs = [[exact(np.eye(2, dtype=int)), exact(np.diag([1, -1]))],
                [exact(np.eye(2, dtype=int)), exact(np.diag([1, -1])) / 2]]
         {"g": g[1], "rho": rho[0], "obs": obs[1][1][0]}[where][0] = entry
-        call = {"born_table": lambda: bell.born_table(rho, obs),
-                "quantum_value": lambda: quantum_value(Inequality(g, -2, 2), rho, obs),
-                "GameTables": lambda: ccp.GameTables(rho, obs, Inequality(g, -2, 2)),
-                "bell_operator": lambda: bell.bell_operator(g, obs),
-                "table_weight": lambda: bell.table_weight(g)}
-        result = call[consumer]()
+        # g reaches the consumers that read only g as it is, the others as an Inequality
+        raw = consumer in ("bell_operator", "table_weight")
+        result = consume(consumer, rho, obs, SimpleNamespace(g=g) if raw else Inequality(g, -2, 2))
         if consumer == "GameTables":
             return result.quantum_value, result.p_quantum_exact, result.p_classical_exact
         return result
@@ -590,22 +611,16 @@ class TestDtypeRule:
     IDS = ["str", "bytes", "datetime64", "datetime64-ns", "timedelta64"]
 
     @staticmethod
-    def raises(fill_name, call):
-        with pytest.raises(ValueError, match=re.escape(f"exact entry {fill_name} is not a number")):
-            call()
-
-    @staticmethod
-    def consumer(name, rho, obs, ineq):
-        return {"born_table": lambda: bell.born_table(rho, obs),
-                "quantum_value": lambda: quantum_value(ineq, rho, obs),
-                "GameTables": lambda: ccp.GameTables(rho, obs, ineq),
-                "bell_operator": lambda: bell.bell_operator(ineq.g, obs)}[name]
+    def raises(fill_name):
+        message = f"exact entry {fill_name} is not a number"
+        return pytest.raises(ValueError, match=re.escape(message))
 
     @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
     @pytest.mark.parametrize("consumer", ["born_table", "quantum_value", "GameTables"])
     def test_rho(self, obs, hom, consumer, fill, name):
         # a str rho raised "TypeError: invalid data type for einsum"
-        self.raises(name, self.consumer(consumer, np.full((8, 8), fill), obs, hom))
+        with self.raises(name):
+            consume(consumer, np.full((8, 8), fill), obs, hom)
 
     @pytest.mark.parametrize("among", ["float", "int"])
     @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
@@ -618,17 +633,20 @@ class TestDtypeRule:
         if among == "int":
             obs = [[np.eye(2, dtype=int), np.diag([1, -1]), np.array([[0, 1], [1, 0]])]] * 3
         obs = [obs[0], [*obs[1][:2], np.full((2, 2), fill)], obs[2]]
-        self.raises(name, self.consumer(consumer, rho, obs, hom))
+        with self.raises(name):
+            consume(consumer, rho, obs, hom)
 
     @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
     def test_correlations(self, hom, fill, name):
         # a str table raised numpy's UFuncTypeError
-        self.raises(name, lambda: bell.expression_value(hom.g, np.full((3, 3, 3), fill)))
+        with self.raises(name):
+            bell.expression_value(hom.g, np.full((3, 3, 3), fill))
 
     @pytest.mark.parametrize("fill,name", FILLS, ids=IDS)
     def test_pmf(self, fill, name):
         # a str or datetime64[ns] pmf raised numpy's UFuncTypeError
-        self.raises(name, lambda: bell.correlations(np.full((3, 3, 3, 8), fill)))
+        with self.raises(name):
+            bell.correlations(np.full((3, 3, 3, 8), fill))
 
     def test_object_correlations_of_floats_give_an_exact_value(self, rho, obs, hom):
         corr = bell.correlations(bell.born_table(rho, obs))
@@ -648,6 +666,20 @@ class TestDtypeRule:
         for g, c in ((hom.g, corr.tolist()), (hom.g.tolist(), corr.tolist())):
             value = bell.expression_value(g, c)
             assert type(value) is float and value.hex() == s.hex()
+
+    @pytest.mark.parametrize("kind", ["float", "exact"])
+    @pytest.mark.parametrize("consumer",
+                             ["born_table", "quantum_value", "GameTables", "bell_operator"])
+    def test_nested_lists_give_the_array_results(self, rho, obs, hom, consumer, kind):
+        if kind == "exact":
+            rho, obs = state.printed_state(), bell.rational_observables()
+        lists = [[o.tolist() for o in party] for party in obs]
+        results = [consume(consumer, r, o, hom) for r, o in ((rho, obs), (rho.tolist(), lists))]
+        if consumer == "GameTables":
+            results = [(t.quantum_value, t.p_quantum_exact, t.cell_law["quantum"].tobytes())
+                       for t in results]
+        assert np.array_equal(*results)
+        assert list(map(type, np.ravel(results[1]))) == list(map(type, np.ravel(results[0])))
 
 
 class TestQuantumValue:
@@ -671,11 +703,8 @@ class TestQuantumValue:
         # g has three parties; the state and observables have n_obs
         obs = [[np.eye(2)] * 4 for _ in range(n_obs)]
         rho = np.eye(2 ** n_obs) / 2 ** n_obs
-        call = {"quantum_value": lambda: quantum_value(hom, rho, obs),
-                "GameTables": lambda: simulate.GameTables(rho=rho, obs=obs, ineq=hom),
-                "bell_operator": lambda: bell.bell_operator(hom.g, obs)}
         with pytest.raises(ValueError, match=f"{n_obs} parties for a 3-party table"):
-            call[consumer]()
+            consume(consumer, rho, obs, hom)
 
     @pytest.mark.parametrize("corr", [np.zeros((3, 3, 3)),
                                       np.full((3, 3, 3), Fraction(0), dtype=object)],
@@ -708,7 +737,5 @@ class TestBellOperator:
     @pytest.mark.parametrize("consumer", ["born_table", "bell_operator"])
     def test_rejects_non_2x2_observable(self, hom, obs, edit, consumer):
         # both contractions read the observables through one check, unobserved ones too
-        call = {"born_table": lambda o: bell.born_table(np.eye(8) / 8, o),
-                "bell_operator": lambda o: bell.bell_operator(hom.g, o)}[consumer]
         with pytest.raises(ValueError, match=r"every observable must be 2x2, got shape \(3, 3\)"):
-            call(edit(obs))
+            consume(consumer, np.eye(8) / 8, edit(obs), hom)

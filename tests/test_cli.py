@@ -157,6 +157,15 @@ class TestGameCommands:
         doc = json.loads(out)
         assert doc["underpowered"] is True
 
+    @pytest.mark.parametrize("shots,warned", [(10_000, True), (400_000_000, False)])
+    def test_gap_warns_on_stderr_only_when_underpowered(self, capsys, shots, warned):
+        # stdout stays one JSON document either way
+        assert main(["game", "gap", "--shots", str(shots), "--seed", "0", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["underpowered"] is warned
+        warning = "warning: shot count too low to resolve the quantum-classical gap\n"
+        assert captured.err == (warning if warned else "")
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gap_single_shot_is_strict_json(self, capsys, seed):
         # one shot gives p_hat 0 or 1: z is finite and has the sign of

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,9 +40,23 @@ class TestTranscription:
         with pytest.raises(AssertionError, match="pure state 1 has norm 1.00001"):
             build_vb_state()
 
+    def test_downward_amplitude_slip_rejected(self, monkeypatch):
+        # the gate is two-sided: 0.183013 -> 0.182913 moves the norm down by 1.8e-5
+        amplitudes = list(PURE_STATE_AMPLITUDES)
+        amplitudes[0] = (0.182913,) + amplitudes[0][1:]
+        monkeypatch.setattr(state, "PURE_STATE_AMPLITUDES", tuple(amplitudes))
+        with pytest.raises(AssertionError, match=re.escape("pure state 1 has norm 0.99998")):
+            build_vb_state()
+
     def test_mistyped_weight_rejected(self, monkeypatch):
         monkeypatch.setattr(state, "MIXTURE_WEIGHTS", (0.1, 0.2, 0.3, 0.5))
         with pytest.raises(AssertionError, match="mixture weights sum to 1.1"):
+            build_vb_state()
+
+    def test_weights_summing_below_one_rejected(self, monkeypatch):
+        # one digit slipped down, 0.388929 -> 0.388909: the sum is 0.9999809
+        monkeypatch.setattr(state, "MIXTURE_WEIGHTS", (0.0636039, 0.273734, 0.273734, 0.388909))
+        with pytest.raises(AssertionError, match=re.escape("mixture weights sum to 0.99998")):
             build_vb_state()
 
 
@@ -173,6 +188,9 @@ class TestValidate:
         report = validate_state(np.eye(2 ** n) / 2 ** n)
         assert report.pt_min_eigenvalues == (2.0 ** -n,) * (2 ** (n - 1) - 1)
         assert report.certified
+
+    def test_nested_list_gives_the_array_report(self, rho):
+        assert validate_state(rho.tolist()) == validate_state(rho)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
