@@ -44,15 +44,15 @@ def outcome_signs(n_parties: int) -> np.ndarray:
 
 def _fraction(v) -> Fraction:
     """An int, Fraction, finite float or real complex as a Fraction; a numpy scalar as its value."""
-    v = v.item() if isinstance(v, np.generic) else v
-    if isinstance(v, complex) and v.imag:  # not numbers.Complex, which a float is too
+    v = v.item() if isinstance(v, np.generic) else v  # a long double stays a numpy scalar
+    if (cplx := isinstance(v, (complex, np.complexfloating))) and v.imag:  # not numbers.Complex
         raise ValueError(f"exact entry {v} is complex: a non-zero imaginary part")
-    v = v.real if isinstance(v, complex) else v
-    if isinstance(v, float) and not math.isfinite(v):
+    v = v.real if cplx else v
+    if isinstance(v, (float, np.floating)) and not np.isfinite(v):
         raise ValueError(f"exact entry {v} is non-finite")
-    if not isinstance(v, (Rational, float)):
+    if not isinstance(v, (Rational, float, np.floating)):
         raise ValueError(f"exact entry {v!r} is not a number")
-    return Fraction(v)
+    return Fraction(*v.as_integer_ratio()) if isinstance(v, np.floating) else Fraction(v)
 
 
 def _fractions(a) -> np.ndarray:
@@ -338,10 +338,9 @@ def born_table(rho: np.ndarray, obs: list[list[np.ndarray]]) -> np.ndarray:
     if p.min() < -tolerances.NEGATIVITY:
         raise ValueError(f"negative outcome probability {p.min():.3e}")
     p = p.clip(0.0, None)
-    total = p.sum(axis=-1, keepdims=True)
-    worst = total.flat[np.abs(total - 1.0).argmax()]
-    if abs(worst - 1.0) > tolerances.FLOAT:
-        raise ValueError(f"outcome probabilities sum to {worst}")
+    total = p.sum(axis=-1, keepdims=True)  # tr rho for every setting tuple, up to rounding
+    if (np.abs(total - 1.0) > tolerances.FLOAT).any():
+        raise ValueError(f"outcome probabilities sum to {total.flat[0]}")
     return p / total
 
 

@@ -131,8 +131,8 @@ class GameTables:
         self.correlations, idx = bell.correlations(born), np.nonzero(g := self.ineq.g)
         # the one gate: expression_value checks g, valid as Inequality built it, against obs
         s = self.quantum_value = bell.expression_value(g, self.correlations)
-        # sum |g| weighs P_Q and Q; P_C's search reads its own, as it owns P_C's rounding
-        self.p_quantum_exact = success_probability(s, w := self.ineq.sum_abs())
+        # sum |g| weighs P_Q; P_C's search reads its own, as it owns P_C's rounding
+        self.p_quantum_exact = success_probability(s, self.ineq.sum_abs())
         self.support = list(zip(*np.array(idx).tolist()))
         coeffs, outcomes = g[idx][:, None], bell.outcome_signs(g.ndim)
         # the sign bits cancel: a win is a_1...a_n = sign g(x), a positive a_1...a_n g(x)
@@ -141,7 +141,7 @@ class GameTables:
         strategy, self.p_classical_exact = optimal_classical_strategy(g)
         # the strategy's answers a_i(x_i) on each supported x, as (support, party)
         answers = np.array(strategy.a)[np.arange(g.ndim)[:, None], np.array(idx)].T
-        q = np.abs(coeffs) / w
+        q = input_distribution(g)[idx][:, None]
         self.cell_law = {
             "quantum": np.asarray(q * born[idx], dtype=float),
             "classical": q * (answers[:, None] == outcomes).all(axis=-1),

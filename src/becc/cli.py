@@ -10,7 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bell, ccp, state
+from . import bell, ccp, state, tolerances
 
 SIG_DIGITS = 12
 
@@ -90,36 +90,37 @@ def cmd_game_exact(args) -> tuple[dict, bool]:
 # the sampler and numpy.random load only where a run is built
 def cmd_game_simulate(args) -> tuple[dict, bool]:
     from . import simulate
-    return simulate.run_protocol(args.config).to_dict(), True
+    return simulate.run_protocol(args.config, ccp.default_tables()).to_dict(), True
 
 
 def cmd_game_gap(args) -> tuple[dict, bool]:
     from . import simulate
-    c = args.config
-    report = simulate.gap_experiment(c.shots, seed=c.seed, shards=c.shards)
+    c, tables = args.config, ccp.default_tables()
+    report = simulate.gap_experiment(c.shots, seed=c.seed, shards=c.shards, tables=tables)
     if report.underpowered:
         print("warning: shot count too low to resolve the quantum-classical gap",
               file=sys.stderr)
     return report.to_dict(), True
 
 
+def check(value, expected, tolerance=None) -> dict:
+    """One reproduce-paper row, whose pass reads the expected value and tolerance it prints."""
+    ok = value == expected if tolerance is None else abs(value - expected) <= tolerance
+    gate = {} if tolerance is None else {"tolerance": tolerance}
+    shown = str(expected) if isinstance(expected, Fraction) else expected
+    return {"value": float(value), "expected": shown, **gate, "pass": ok}
+
+
 def cmd_reproduce_paper(args) -> tuple[dict, bool]:
     tables = ccp.default_tables()
     orig_lo, orig_hi, _ = bell.classical_extrema(bell.sliwa5())
-    hom_lo, hom_hi, _ = bell.classical_extrema(tables.ineq)
-    s = tables.quantum_value
-    p_c, p_q = tables.p_classical_exact, tables.p_quantum_exact
-
     checks = {
-        "B_orig_min": {"value": orig_lo, "expected": -13, "pass": orig_lo == -13},
-        "B_orig_max": {"value": orig_hi, "expected": 3, "pass": orig_hi == 3},
-        "B_hom": {"value": hom_hi, "expected": 8, "pass": hom_hi == 8},
-        "S": {"value": s, "expected": 8.00685, "tolerance": 2e-4,
-              "pass": abs(s - 8.00685) <= 2e-4},
-        "P_C": {"value": float(p_c), "expected": "15/22",
-                "pass": p_c == Fraction(15, 22)},
-        "P_Q": {"value": p_q, "expected": 0.681974, "tolerance": 1e-4,
-                "pass": abs(p_q - 0.681974) <= 1e-4},
+        "B_orig_min": check(orig_lo, -13),
+        "B_orig_max": check(orig_hi, 3),
+        "B_hom": check(bell.classical_extrema(tables.ineq)[1], 8),
+        "S": check(tables.quantum_value, 8.00685, tolerances.S_GATE),
+        "P_C": check(tables.p_classical_exact, Fraction(15, 22)),
+        "P_Q": check(tables.p_quantum_exact, 0.681974, tolerances.P_Q_GATE),
     }
     all_pass = all(c["pass"] for c in checks.values())
     return {**checks, "all_pass": all_pass}, all_pass

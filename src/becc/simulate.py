@@ -107,10 +107,8 @@ def sample_counts(config: SimulationConfig, tables: GameTables) -> np.ndarray:
     return counts.reshape(law.shape)
 
 
-def run_protocol(config: SimulationConfig,
-                 tables: GameTables | None = None) -> SimulationReport:
+def run_protocol(config: SimulationConfig, tables: GameTables) -> SimulationReport:
     """Run the full protocol and report its exact integer success count."""
-    tables = tables or default_tables()
     t0 = time.perf_counter()
     successes = int(sample_counts(config, tables)[tables.win].sum())
     p_hat = successes / config.shots
@@ -126,8 +124,7 @@ def run_protocol(config: SimulationConfig,
     )
 
 
-def gap_experiment(shots: int, seed: int = 0, shards: int = 1,
-                   tables: GameTables | None = None) -> GapReport:
+def gap_experiment(shots: int, seed: int = 0, shards: int = 1, *, tables: GameTables) -> GapReport:
     """Simulate the quantum protocol and compare against the exact
     classical optimum (a rational number, never simulated).
 
@@ -138,7 +135,6 @@ def gap_experiment(shots: int, seed: int = 0, shards: int = 1,
     underpowered when sqrt(p(1-p)/shots) is not below a quarter of the
     exact quantum-classical gap, i.e. when z cannot be expected to reach ~4.
     """
-    tables = tables or default_tables()
     p_c = float(tables.p_classical_exact)
     if p_c == 1:
         raise ValueError("P_C = 1: the score test against the classical optimum is undefined")

@@ -529,6 +529,11 @@ class TestBornTable:
         with pytest.raises(ValueError, match="outside"):
             bell.correlations(np.full((3, 3, 3, 8), math.nan))
 
+    def test_correlations_reject_a_value_past_one(self):
+        # one party, P(+1) = 1.25 and P(-1) = -0.25: E = 1.5 is past the |E| <= 1 gate
+        with pytest.raises(ValueError, match=re.escape("correlation 1.5 outside [-1, 1]")):
+            bell.correlations(np.array([[1.25, -0.25]]))
+
     @pytest.mark.parametrize("shape", [(3, 3, 3, 4), (3, 3, 3, 16), (2,), (), (3, 0)])
     def test_correlations_reject_misshaped_pmf(self, shape):
         # (3, 3, 3, 4) and (2,) raised numpy's "matmul: Input operand 1 has a mismatch in
@@ -591,10 +596,24 @@ class TestEntryRule:
     @pytest.mark.parametrize("consumer,where", PLACES)
     def test_numpy_scalar_enters_as_its_value(self, consumer, where):
         half = self.run(consumer, where, Fraction(1, 2))
-        for entry in (np.float32(0.5), np.complex128(0.5), 0.5 + 0j):
+        # .item() leaves a long double a numpy scalar, which was named "not a number"
+        for entry in (np.float32(0.5), np.complex128(0.5), 0.5 + 0j,
+                      np.longdouble(0.5), np.clongdouble(0.5)):
             result = self.run(consumer, where, entry)
             assert np.array_equal(result, half)
             assert list(map(type, np.ravel(result))) == list(map(type, np.ravel(half)))
+
+    def test_long_double_table_enters_exactly(self):
+        # the entry rule named each np.longdouble entry "not a number"
+        g = bell.coefficient_table(np.ones((2, 2, 2), dtype=np.longdouble))
+        assert g.dtype == np.float64 and np.array_equal(g, np.ones((2, 2, 2)))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                        reason="long double is float64 on this platform")
+    def test_long_double_third_is_not_exactly_a_float(self):
+        third = np.full((2, 2, 2), np.longdouble(1) / 3)
+        with pytest.raises(ValueError, match="is not exactly a float"):
+            bell.coefficient_table(third)
 
 
 class TestDtypeRule:

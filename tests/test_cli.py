@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,11 @@ class TestGameCommands:
         doc = json.loads(out)
         assert doc["shots"] == 1000 and doc["successes"] <= 1000
 
+    def test_simulate_defaults(self, capsys):
+        _, out = run(capsys, "game", "simulate", "--protocol", "quantum", "--format", "json")
+        doc = json.loads(out)
+        assert (doc["shots"], doc["seed"], doc["shards"]) == (1_000_000, 0, 1)
+
     def test_simulate_deterministic(self, capsys):
         _, out1 = run(capsys, "game", "simulate", "--protocol", "classical",
                       "--shots", "5000", "--seed", "3", "--format", "json")
@@ -213,11 +219,34 @@ class TestVerdicts:
         assert code == 1
         assert list(json.loads(out)) == list(json.loads((GOLDEN / golden).read_text()))
 
+    def test_game_runs_read_the_same_tables(self, capsys):
+        # game gap and game simulate read ccp.default_tables(), as the other commands do
+        _, out = run(capsys, "game", "gap", "--shots", "400000000", "--seed", "1",
+                     "--format", "json")
+        assert json.loads(out)["p_quantum_exact"] == 0.664904672498
+        _, out = run(capsys, "game", "simulate", "--protocol", "quantum",
+                     "--shots", "400000000", "--seed", "1", "--format", "json")
+        doc = json.loads(out)
+        assert abs(doc["p_hat"] - ccp.default_tables().p_quantum_exact) <= 5 * doc["stderr"]
+
     def test_reproduce_fails_only_the_quantum_checks(self, capsys):
         _, out = run(capsys, "reproduce-paper", "--format", "json")
         doc = json.loads(out)
         assert doc["all_pass"] is False
         assert [k for k, v in doc.items() if k != "all_pass" and not v["pass"]] == ["S", "P_Q"]
+
+
+@pytest.mark.parametrize("row,attribute", [("S", "quantum_value"), ("P_Q", "p_quantum_exact")])
+@pytest.mark.parametrize("scale,passed", [(0.5, True), (1.5, False)])
+def test_reproduce_verdict_reads_its_printed_gate(capsys, monkeypatch, row, attribute, scale,
+                                                  passed):
+    # the row passes within the tolerance it prints of the value it expects
+    printed = json.loads(run(capsys, "reproduce-paper", "--format", "json")[1])[row]
+    moved = {**vars(ccp.default_tables()),
+             attribute: printed["expected"] + scale * printed["tolerance"]}
+    monkeypatch.setattr(ccp, "default_tables", lambda: SimpleNamespace(**moved))
+    code, out = run(capsys, "reproduce-paper", "--format", "json")
+    assert json.loads(out)[row]["pass"] is passed and code == (0 if passed else 1)
 
 
 class TestOutputContract:

@@ -10,16 +10,16 @@ from becc import bell, ccp, simulate, state
 
 
 @pytest.fixture(scope="module")
-def records():
+def records(tables):
     config = simulate.SimulationConfig(shots=1000, seed=1)
-    gap = simulate.gap_experiment(1000, seed=1)
+    gap = simulate.gap_experiment(1000, seed=1, tables=tables)
     return {
         "StateReport": state.validate_state(state.build_vb_state()),
         "Inequality": bell.sliwa5(),
         "ClassicalStrategy": ccp.optimal_classical_strategy(bell.sliwa5().g)[0],
         "GameInstance": ccp.GameInstance((1, 1, 1), (0, 0, 0)),
         "SimulationConfig": config,
-        "SimulationReport": simulate.run_protocol(config),
+        "SimulationReport": simulate.run_protocol(config, tables),
         "GapReport": gap,
     }
 
@@ -58,14 +58,14 @@ def test_every_construction_validates(build):
         build()
 
 
-def test_numpy_integer_config_gives_a_json_report():
+def test_numpy_integer_config_gives_a_json_report(tables):
     config = simulate.SimulationConfig(np.int64(10), seed=np.uint64(3), shards=np.int32(2))
     assert config == (10, 3, "quantum", 2)
     assert all(type(v) is int for v in (config.shots, config.seed, config.shards))
-    report = simulate.run_protocol(config).to_dict()
+    report = simulate.run_protocol(config, tables).to_dict()
     assert json.loads(json.dumps(report)) == report
-    plain = simulate.run_protocol(simulate.SimulationConfig(10, seed=3, shards=2)).to_dict()
-    assert {**report, "wall_time": 0} == {**plain, "wall_time": 0}
+    plain = simulate.run_protocol(simulate.SimulationConfig(10, seed=3, shards=2), tables)
+    assert {**report, "wall_time": 0} == {**plain.to_dict(), "wall_time": 0}
 
 
 def test_positional_and_keyword_construction_agree():

@@ -185,6 +185,13 @@ class TestRunProtocol:
         assert report.successes <= report.shots
         assert report.empirical_probability == report.successes / report.shots
 
+    @pytest.mark.parametrize("protocol", ["classical", "quantum"])
+    def test_standard_error_is_the_binomial_one(self, tables, protocol):
+        # sqrt(p_hat (1 - p_hat) / n) with p_hat = k / n, as sqrt(k (n - k) / n^3)
+        report = run_protocol(SimulationConfig(shots=100_000, seed=2, protocol=protocol), tables)
+        k, n = report.successes, report.shots
+        assert report.standard_error == pytest.approx(math.sqrt(k * (n - k) / n ** 3), rel=1e-12)
+
     def test_sharded_run_aggregates_all_shots(self, tables):
         report = run_protocol(
             SimulationConfig(shots=100_001, seed=1, protocol="classical", shards=7),
@@ -434,6 +441,11 @@ class TestGapExperiment:
         p = tables.p_quantum_exact
         gap = p - float(tables.p_classical_exact)
         assert math.sqrt(p * (1 - p) / shots) < gap / 4
+
+    @pytest.mark.parametrize("shots,underpowered", [(140_000_000, True), (150_000_000, False)])
+    def test_power_flag_flips_at_its_threshold(self, tables, shots, underpowered):
+        # stderr < gap/4 first holds at 16 P_Q (1 - P_Q) / gap^2 = 1.431e8 shots
+        assert gap_experiment(shots, seed=0, tables=tables).underpowered is underpowered
 
     def test_json(self, tables):
         doc = json.loads(json.dumps(gap_experiment(1000, seed=0, tables=tables).to_dict()))
